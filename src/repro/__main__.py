@@ -72,7 +72,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
+import threading
 
 from .harness import (
     CampaignExecutor,
@@ -124,6 +126,32 @@ def _make_executor(args, observation=None, telemetry=None) -> CampaignExecutor:
         observation=observation,
         telemetry=telemetry,
     )
+
+
+def _run_campaign(executor, specs, args) -> tuple[list, bool]:
+    """Run a ``repro run`` campaign; returns ``(outcomes, drained)``.
+
+    With worker processes, SIGTERM drains instead of killing: nothing
+    new launches, cells whose results are already in their pipes
+    settle, and the rest are terminated unjournaled.  The previous
+    handler is restored on return, because ``main`` also runs
+    in-process.  Inline campaigns (``--jobs 0``) have no workers to
+    orphan and keep SIGTERM's default action.
+    """
+    if executor.jobs == 0:
+        return executor.run(
+            specs, checkpoint=args.checkpoint, resume=args.resume
+        ), False
+    drain = threading.Event()
+    executor.stop = drain.is_set
+    previous = signal.signal(signal.SIGTERM, lambda *_: drain.set())
+    try:
+        outcomes = executor.run(
+            specs, checkpoint=args.checkpoint, resume=args.resume
+        )
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    return outcomes, drain.is_set()
 
 
 def _print_campaign(outcomes) -> None:
@@ -193,9 +221,7 @@ def _cmd_run(args) -> int:
         executor = _make_executor(
             args, observation=Observation(), telemetry=telemetry
         )
-        outcomes = executor.run(
-            specs, checkpoint=args.checkpoint, resume=args.resume
-        )
+        outcomes, drained = _run_campaign(executor, specs, args)
         if view is not None:
             view.finish(telemetry)
         if args.rollup_out:
@@ -204,6 +230,12 @@ def _cmd_run(args) -> int:
                 fh.write("\n")
             print(f"wrote campaign rollup to {args.rollup_out}")
         _print_campaign(outcomes)
+        if drained:
+            # 128 + SIGTERM: an incomplete campaign still reads as a
+            # failure to whoever sent the signal.
+            print(f"{len(specs) - len(outcomes)} cell(s) unsettled; "
+                  f"rerun with --resume")
+            return 128 + signal.SIGTERM
         return 0 if all(o.ok for o in outcomes) else 1
     observe = bool(args.events_out or args.trace_out or args.stats_out)
     result = run_workload(
@@ -959,119 +991,6 @@ def _cmd_fuzz(args) -> int:
     return 1 if report["num_unique_failures"] else 0
 
 
-def _cmd_serve(args) -> int:
-    import os
-    from pathlib import Path
-
-    from .service import run_service
-    from .service.chaos import CHAOS_ENV, chaos_execute_spec
-    from .service.server import ServiceConfig
-
-    task = None
-    chaos_dir = None
-    if args.chaos_dir:
-        # Arm the chaos worker task: the env var rides fork/spawn into
-        # every worker process the executor launches.
-        chaos_dir = Path(args.chaos_dir)
-        os.environ[CHAOS_ENV] = str(chaos_dir)
-        task = chaos_execute_spec
-    config = ServiceConfig(
-        state_dir=Path(args.state_dir),
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        run_timeout=args.run_timeout,
-        retries=args.retries,
-        backoff=args.backoff,
-        jitter=args.jitter,
-        drain_deadline=args.drain_deadline,
-        heartbeat_timeout=args.heartbeat_timeout,
-        chaos_dir=chaos_dir,
-    )
-    print(f"serve: state dir {config.state_dir}, "
-          f"{config.workers} worker(s), queue depth {config.queue_depth}"
-          + (f", chaos dir {chaos_dir}" if chaos_dir else ""),
-          file=sys.stderr)
-    return run_service(config, task=task)
-
-
-def _client_from_args(args):
-    from .service import ServiceClient
-
-    if args.state_dir:
-        return ServiceClient.from_endpoint(args.state_dir)
-    return ServiceClient(args.host, args.port)
-
-
-def _cmd_submit(args) -> int:
-    record = {
-        "workloads": args.workloads,
-        "modes": args.modes,
-        "scale": args.scale,
-        "seed": args.seed,
-        "max_cycles": args.max_cycles,
-        "check_invariants": args.check_invariants,
-        "priority": args.priority,
-    }
-    if args.fault_kind:
-        record["fault_kind"] = args.fault_kind
-        record["fault_seed"] = args.fault_seed
-    if args.token:
-        record["token"] = args.token
-    client = _client_from_args(args)
-    response = client.submit(record, deadline=args.deadline)
-    print(json.dumps(response, indent=2, sort_keys=True))
-    if args.wait:
-        summary = client.wait(response["id"], timeout=args.deadline)
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0 if summary["state"] == "done" else 1
-    return 0
-
-
-def _cmd_status(args) -> int:
-    client = _client_from_args(args)
-    if args.job_id:
-        payload = client.status(args.job_id)
-    else:
-        payload = {"jobs": client.jobs(), "metrics": client.metrics()}
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_fetch(args) -> int:
-    client = _client_from_args(args)
-    report = client.result_bytes(args.job_id)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(report)
-        print(f"wrote {len(report)} bytes to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(report.decode())
-    return 0
-
-
-def _cmd_chaos(args) -> int:
-    from .service import run_chaos_campaign
-
-    def log(message: str) -> None:
-        print(message, file=sys.stderr)
-
-    report = run_chaos_campaign(
-        args.state_dir,
-        seed=args.seed,
-        kill_after_jobs=args.kill_after_jobs,
-        run_timeout=args.run_timeout,
-        log=log,
-    )
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"wrote chaos report to {args.report}", file=sys.stderr)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if report["ok"] else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -1368,106 +1287,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the full report as JSON")
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
-    p_serve = sub.add_parser(
-        "serve", help="run the fault-tolerant campaign service"
-    )
-    p_serve.add_argument("--state-dir", required=True, metavar="DIR",
-                         help="durable state: journal, cell checkpoints, "
-                              "result cache, endpoint.json")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=0,
-                         help="0 = ephemeral (written to endpoint.json)")
-    p_serve.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="executor worker processes per job")
-    p_serve.add_argument("--queue-depth", type=int, default=16, metavar="N",
-                         help="bounded job queue; beyond this submits "
-                              "get 429 + Retry-After")
-    p_serve.add_argument("--run-timeout", type=float, default=120.0,
-                         metavar="SEC",
-                         help="per-cell wall-clock limit; hung workers are "
-                              "terminated and replaced (retried)")
-    p_serve.add_argument("--retries", type=int, default=3, metavar="N")
-    p_serve.add_argument("--backoff", type=float, default=0.25, metavar="SEC")
-    p_serve.add_argument("--jitter", type=float, default=0.1,
-                         help="multiplicative retry-backoff jitter (0 = off)")
-    p_serve.add_argument("--drain-deadline", type=float, default=30.0,
-                         metavar="SEC",
-                         help="max seconds to checkpoint in-flight work "
-                              "after SIGTERM before exiting")
-    p_serve.add_argument("--heartbeat-timeout", type=float, default=15.0,
-                         metavar="SEC",
-                         help="running job silent this long counts a "
-                              "heartbeat miss")
-    p_serve.add_argument("--chaos-dir", default=None, metavar="DIR",
-                         help="arm the chaos worker task from this plan "
-                              "directory (testing only)")
-    p_serve.set_defaults(func=_cmd_serve)
-
-    def add_client_options(p) -> None:
-        p.add_argument("--state-dir", default=None, metavar="DIR",
-                       help="locate the service via DIR/endpoint.json")
-        p.add_argument("--host", default="127.0.0.1")
-        p.add_argument("--port", type=int, default=0,
-                       help="service port (when not using --state-dir)")
-
-    p_submit = sub.add_parser(
-        "submit", help="submit a campaign job to a running service"
-    )
-    add_client_options(p_submit)
-    p_submit.add_argument("workloads",
-                          help="comma-separated workload list")
-    p_submit.add_argument("--modes", default="baseline",
-                          help="comma-separated machine modes")
-    p_submit.add_argument("--scale", default="tiny")
-    p_submit.add_argument("--seed", type=int, default=0)
-    p_submit.add_argument("--max-cycles", type=int, default=30_000_000)
-    p_submit.add_argument("--check-invariants", type=int, default=0,
-                          metavar="N")
-    p_submit.add_argument("--priority", type=int, default=0,
-                          help="0..9; higher dispatches earlier")
-    p_submit.add_argument("--fault-kind", default=None,
-                          help="inject a repro.verify fault into each cell")
-    p_submit.add_argument("--fault-seed", type=int, default=0)
-    p_submit.add_argument("--token", default=None,
-                          help="idempotency token (safe resubmits)")
-    p_submit.add_argument("--wait", action="store_true",
-                          help="block until the job is terminal")
-    p_submit.add_argument("--deadline", type=float, default=600.0,
-                          metavar="SEC",
-                          help="total budget for backpressure retries "
-                               "and --wait")
-    p_submit.set_defaults(func=_cmd_submit)
-
-    p_status = sub.add_parser(
-        "status", help="show service jobs and metrics"
-    )
-    add_client_options(p_status)
-    p_status.add_argument("job_id", nargs="?", default=None,
-                          help="one job id (default: all jobs + metrics)")
-    p_status.set_defaults(func=_cmd_status)
-
-    p_fetch = sub.add_parser(
-        "fetch", help="download a finished job's report"
-    )
-    add_client_options(p_fetch)
-    p_fetch.add_argument("job_id")
-    p_fetch.add_argument("--out", default=None, metavar="PATH",
-                         help="write the report here (default stdout)")
-    p_fetch.set_defaults(func=_cmd_fetch)
-
-    p_chaos = sub.add_parser(
-        "chaos", help="run the service chaos campaign and classify it"
-    )
-    p_chaos.add_argument("--state-dir", required=True, metavar="DIR")
-    p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument("--kill-after-jobs", type=int, default=1,
-                         metavar="N",
-                         help="SIGKILL the server once N jobs are terminal")
-    p_chaos.add_argument("--run-timeout", type=float, default=10.0,
-                         metavar="SEC")
-    p_chaos.add_argument("--report", default=None, metavar="PATH",
-                         help="write the JSON classification report")
-    p_chaos.set_defaults(func=_cmd_chaos)
     return parser
 
 

@@ -46,7 +46,6 @@ LAYER_RANKS: dict[str, int] = {
     "harness": 8,
     "fuzz": 9,
     "sampling": 9,
-    "service": 9,
     "": 10,
 }
 

@@ -22,6 +22,8 @@ diffs two runs of the same batch byte-for-byte.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from functools import partial
 from pathlib import Path
 from typing import Iterable
@@ -51,11 +53,23 @@ def fuzz_spec(
     mode: str = "baseline",
     check_invariants: int = 64,
     max_cycles: int = DEFAULT_MAX_CYCLES,
+    profile: GeneratorProfile | None = None,
+    bug: str | None = None,
 ) -> RunSpec:
-    """The campaign cell for one seed (workload name embeds the seed,
-    keeping executor keys unique per cell)."""
+    """The campaign cell for one seed.
+
+    The workload name embeds the seed plus what else decides the cell's
+    outcome without being a :class:`RunSpec` field — a digest of the
+    generator profile and the seeded-bug name — so the journal never
+    serves a cell across profiles or bugs (:meth:`RunSpec.cell_id`).
+    """
+    profile_json = json.dumps(
+        (profile or GeneratorProfile()).as_record(), sort_keys=True
+    )
+    profile_digest = hashlib.sha256(profile_json.encode()).hexdigest()[:8]
     return RunSpec(
-        workload=f"fuzz-{seed:06d}",
+        workload=f"fuzz-{seed:06d}-{profile_digest}"
+        + (f"+{bug}" if bug else ""),
         mode=mode,
         scale=FUZZ_SCALE,
         max_cycles=max_cycles,
@@ -161,7 +175,7 @@ def run_fuzz_campaign(
     profile = profile or GeneratorProfile()
     profile_record = profile.as_record()
     specs = [
-        fuzz_spec(seed, mode, check_invariants, max_cycles)
+        fuzz_spec(seed, mode, check_invariants, max_cycles, profile, bug)
         for seed in seed_list
     ]
     executor = CampaignExecutor(

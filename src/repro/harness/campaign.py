@@ -1,156 +1,14 @@
-"""Campaign persistence: save, load, and diff experiment results.
+"""Campaign regression diffing over checkpoint journals.
 
-A *campaign* is one full run of the :class:`ExperimentSuite` — every
-(workload, mode) simulation plus the derived figure data.  Persisting
-campaigns as JSON makes runs comparable across simulator versions:
-``diff_campaigns`` highlights per-benchmark IPC movements, which is how
-a change to (say) the scheduler shows up as a Fig. 5 regression.
+A campaign's results live in its checkpoint journal
+(:class:`~repro.harness.executor.CheckpointJournal`).  Diffing two
+journals loaded with :func:`~repro.harness.executor.load_checkpoint`
+makes runs comparable across simulator versions: ``diff_campaigns``
+highlights per-benchmark IPC movements, which is how a change to (say)
+the scheduler shows up as a Fig. 5 regression.
 """
 
 from __future__ import annotations
-
-import json
-import warnings
-from pathlib import Path
-
-from .experiments import ExperimentSuite
-
-_SCHEMA_VERSION = 1
-
-#: Raw counters preserved per (workload, mode) run.
-_KEPT_COUNTERS = (
-    "cycles",
-    "retired_instructions",
-    "direction_mispredicts",
-    "target_mispredicts",
-    "flushes",
-    "early_flushes",
-    "covered_timely",
-    "covered_late",
-    "incorrect_precomputations",
-    "uncovered_mispredicts",
-    "tea_resolved_branches",
-    "tea_wrong_resolutions",
-    "tea_cycles_saved",
-    "fetched_uops",
-    "tea_fetched_uops",
-    "runahead_overrides",
-    "runahead_wrong_overrides",
-)
-
-
-def run_to_dict(result) -> dict:
-    """The per-run payload kept in a campaign file.
-
-    Failed cells (``result.failure`` set) carry their failure kind and
-    message alongside zeroed counters, so a journaled campaign keeps a
-    complete record of the matrix rather than silently dropping cells.
-    """
-    stats = result.stats
-    payload = {
-        "ipc": stats.ipc,
-        "mpki": stats.mpki,
-        "coverage": stats.coverage,
-        "accuracy": stats.tea_accuracy,
-        "validated": result.validated,
-        "halted": result.halted,
-        **{name: getattr(stats, name) for name in _KEPT_COUNTERS},
-    }
-    if result.failure is not None:
-        payload["failure"] = result.failure
-        payload["error"] = result.error
-    return payload
-
-
-def campaign_to_dict(suite: ExperimentSuite) -> dict:
-    """Serialize everything the suite has simulated so far."""
-    runs = {
-        f"{workload}/{mode}": run_to_dict(result)
-        for (workload, mode), result in suite._cache.items()
-    }
-    return {
-        "schema": _SCHEMA_VERSION,
-        "scale": suite.scale,
-        "workloads": list(suite.workloads),
-        "runs": runs,
-    }
-
-
-def save_campaign(suite: ExperimentSuite, path: str | Path) -> Path:
-    """Write the suite's accumulated results to a JSON file."""
-    path = Path(path)
-    path.write_text(json.dumps(campaign_to_dict(suite), indent=2, sort_keys=True))
-    return path
-
-
-def load_campaign(path: str | Path) -> dict:
-    """Load a previously saved campaign (JSON file or JSONL journal).
-
-    Corruption tolerance: a truncated or corrupt trailing JSONL record
-    (the normal aftermath of a crash mid-append) is skipped with a
-    warning rather than raised; a corrupt single-JSON campaign raises a
-    typed :class:`ValueError` naming the file, never a bare
-    ``JSONDecodeError`` from deep inside the json module.
-    """
-    path = Path(path)
-    text = path.read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        # Not a single JSON document — either an executor JSONL journal
-        # or a corrupt file.  The tolerant journal loader skips bad
-        # lines; if nothing survives, the file really is corrupt.
-        from .executor import load_checkpoint
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            outcomes = load_checkpoint(path)
-        if not outcomes:
-            # Nothing survived; the per-line warnings are noise next to
-            # the typed error.
-            raise ValueError(
-                f"corrupt campaign file {path}: {exc}"
-            ) from exc
-        for w in caught:
-            warnings.warn_explicit(
-                w.message, w.category, w.filename, w.lineno
-            )
-        runs = {
-            key: run_to_dict(outcome.run_result())
-            for key, outcome in outcomes.items()
-        }
-        scales = {o.spec.scale for o in outcomes.values()}
-        return {
-            "schema": _SCHEMA_VERSION,
-            "scale": scales.pop() if len(scales) == 1 else "mixed",
-            "workloads": sorted({o.spec.workload for o in outcomes.values()}),
-            "runs": runs,
-        }
-    if not isinstance(data, dict):
-        raise ValueError(f"corrupt campaign file {path}: not a JSON object")
-    if "spec" in data and "status" in data:
-        # A single-record executor journal parses as plain JSON too.
-        from .executor import load_checkpoint
-
-        outcomes = load_checkpoint(path)
-        return {
-            "schema": _SCHEMA_VERSION,
-            "scale": next(iter(outcomes.values())).spec.scale,
-            "workloads": sorted({o.spec.workload for o in outcomes.values()}),
-            "runs": {
-                key: run_to_dict(outcome.run_result())
-                for key, outcome in outcomes.items()
-            },
-        }
-    if data.get("schema") != _SCHEMA_VERSION:
-        raise ValueError(f"unsupported campaign schema: {data.get('schema')!r}")
-    bad = [key for key, run in data.get("runs", {}).items()
-           if not isinstance(run, dict) or "ipc" not in run]
-    for key in bad:
-        warnings.warn(f"{path}: skipping corrupt run record {key!r}",
-                      stacklevel=2)
-        del data["runs"][key]
-    return data
 
 
 def diff_campaigns(
@@ -158,23 +16,28 @@ def diff_campaigns(
 ) -> list[dict]:
     """Per-run IPC movements beyond ``threshold_pct``, largest first.
 
-    Returns ``[{"run", "before_ipc", "after_ipc", "delta_pct"}, ...]``
-    covering runs present in both campaigns.
+    ``before``/``after`` map display keys to
+    :class:`~repro.harness.executor.RunOutcome` (the shape
+    :func:`~repro.harness.executor.load_checkpoint` returns).  Returns
+    ``[{"run", "before_ipc", "after_ipc", "delta_pct"}, ...]`` covering
+    cells that succeeded in both campaigns; failed cells have no
+    meaningful IPC to diff.
     """
     movements = []
-    for key, new in after["runs"].items():
-        old = before["runs"].get(key)
-        if old is None or old["ipc"] <= 0:
+    for key, new in after.items():
+        old = before.get(key)
+        if old is None or not (old.ok and new.ok):
             continue
-        if "failure" in old or "failure" in new:
-            continue  # failed cells have no meaningful IPC to diff
-        delta = 100.0 * (new["ipc"] / old["ipc"] - 1.0)
+        old_ipc, new_ipc = old.sim_stats().ipc, new.sim_stats().ipc
+        if old_ipc <= 0:
+            continue
+        delta = 100.0 * (new_ipc / old_ipc - 1.0)
         if abs(delta) >= threshold_pct:
             movements.append(
                 {
                     "run": key,
-                    "before_ipc": old["ipc"],
-                    "after_ipc": new["ipc"],
+                    "before_ipc": old_ipc,
+                    "after_ipc": new_ipc,
                     "delta_pct": delta,
                 }
             )

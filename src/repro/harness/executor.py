@@ -18,8 +18,17 @@ matrix out over worker processes and turns every failure into data:
   config digest, and seed are captured per failed cell instead of a
   propagated crash;
 * **checkpoint/resume** — every completed cell is appended to a JSONL
-  journal as it finishes (flushed + fsynced), so an interrupted
-  campaign resumes by skipping already-journaled cells.
+  journal as it finishes (flushed + fsynced), stamped with the config
+  digest it ran under and a checksum of itself.  The journal is the
+  campaign's cell store: a resumed campaign reuses a record only when
+  its spec record and config digest match the cell's
+  :meth:`RunSpec.cell_id` and its checksum verifies, so campaigns that
+  share one journal never re-simulate a cell and never reuse a stale
+  or damaged one;
+* **graceful drain** — a ``stop`` hook (``repro run`` wires it to
+  SIGTERM) launches nothing new, settles every cell whose result is
+  already in its pipe, and terminates the rest unjournaled, so a
+  ``--resume`` picks up exactly the unsettled cells.
 
 Determinism: each run is an isolated, seeded simulation, so parallel
 and serial execution produce bit-identical per-run results; only the
@@ -38,6 +47,7 @@ import json
 import multiprocessing as mp
 import os
 import random as _random
+import signal
 import time
 import traceback
 import warnings
@@ -67,6 +77,12 @@ RETRYABLE_EXCEPTION_NAMES = frozenset(
         "WorkerDied",
     }
 )
+
+#: Retry backoff jitter: each delay is stretched by ``1 + JITTER * u``,
+#: ``u ~ U[0, 1)`` drawn from ``random.Random(JITTER_SEED)``, so a burst
+#: of simultaneous failures does not re-launch in lockstep.
+JITTER = 0.1
+JITTER_SEED = 0
 
 #: SimStats counter fields serialized across the worker boundary.
 STAT_FIELDS = tuple(
@@ -98,20 +114,15 @@ class RunSpec:
     max_cycles: int = 30_000_000
     seed: int = 0
     check_invariants: int = 0   # repro.verify audit period (0 = off)
-    # Deterministic microarchitectural fault injection (repro.verify):
-    # when ``fault_kind`` is set the worker attaches a single-fault
-    # FaultPlan seeded with ``fault_seed``.  The campaign service's
-    # chaos harness uses this to run faulted cells through the normal
-    # job path.
-    fault_kind: str = ""
-    fault_seed: int = 0
 
     @property
     def key(self) -> str:
+        """Display key (``workload/mode``) for tables and telemetry; it
+        does not identify a cell — :meth:`cell_id` does."""
         return f"{self.workload}/{self.mode}"
 
     def as_record(self) -> dict:
-        record = {
+        return {
             "workload": self.workload,
             "mode": self.mode,
             "scale": self.scale,
@@ -119,16 +130,11 @@ class RunSpec:
             "seed": self.seed,
             "check_invariants": self.check_invariants,
         }
-        if self.fault_kind:
-            record["fault_kind"] = self.fault_kind
-            record["fault_seed"] = self.fault_seed
-        return record
 
     @classmethod
     def from_record(cls, record: dict) -> "RunSpec":
-        # Tolerant of journals written before a field existed (the
-        # defaulted dataclass field fills the gap), so old checkpoint
-        # journals stay resumable.
+        # Tolerant of records written before a field existed (the
+        # defaulted dataclass field fills the gap).
         return cls(
             **{f.name: record[f.name] for f in fields(cls) if f.name in record}
         )
@@ -139,6 +145,22 @@ class RunSpec:
 
         text = repr(make_config(self.mode))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+    def cell_id(self, config_digest: str | None = None) -> str:
+        """Content identity of this cell: its spec record plus the digest
+        of the configuration it runs under (today's unless given).
+
+        The simulator is deterministic, so two cells with the same id
+        produce the same outcome; the checkpoint journal reuses records
+        by this id only.
+        """
+        if config_digest is None:
+            config_digest = self.config_digest()
+        payload = json.dumps(
+            {"spec": self.as_record(), "config": config_digest},
+            sort_keys=True,
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 @dataclass
@@ -310,42 +332,97 @@ def read_journal_lines(
     return records, counters
 
 
-def load_checkpoint(path: str | Path) -> dict[str, RunOutcome]:
-    """Load a JSONL campaign journal, tolerating corruption anywhere in
-    the file: a truncated trailing line (the normal aftermath of a
-    crash mid-append) *and* a torn mid-file record are handled by
-    resynchronizing on the next decodable JSON object
-    (:func:`read_journal_lines`); unrecoverable lines are skipped with
-    a warning, never raised.  Later records for the same cell win."""
+def _checksum(record: dict) -> str:
+    """sha256 of a journal record's canonical JSON, its own checksum
+    excluded."""
+    body = {k: v for k, v in record.items() if k != "checksum"}
+    return hashlib.sha256(
+        json.dumps(body, sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _read_checkpoint(path: str | Path) -> tuple[dict[str, RunOutcome], dict]:
+    """Every intact record of a journal keyed by the
+    :meth:`RunSpec.cell_id` it was journaled under (later records win),
+    plus damage counters (see :func:`read_journal_lines`).
+
+    A record is intact when its checksum verifies and it parses as a
+    :class:`RunOutcome`.  Anything else — a fragment salvaged from a
+    torn line, a record with altered bytes — is counted as ``corrupt``
+    and never returned.
+    """
     path = Path(path)
-    outcomes: dict[str, RunOutcome] = {}
     if not path.exists():
-        return outcomes
+        return {}, {}
     records, counters = read_journal_lines(path.read_text())
-    if counters["recovered"] or counters["skipped"]:
-        warnings.warn(
-            f"{path}: journal damage — recovered {counters['recovered']} "
-            f"torn record(s), skipped {counters['skipped']} "
-            f"unrecoverable line(s)",
-            stacklevel=2,
-        )
-    for lineno, record in records:
+    counters["corrupt"] = 0
+    cells = {}
+    for _, record in records:
         try:
+            if record.get("checksum") != _checksum(record):
+                raise ValueError("checksum mismatch")
             outcome = RunOutcome.from_record(record)
-        except (KeyError, TypeError) as exc:
-            warnings.warn(
-                f"{path}:{lineno}: skipping corrupt checkpoint record "
-                f"({type(exc).__name__}: {exc})",
-                stacklevel=2,
-            )
-            continue
-        outcomes[outcome.key] = outcome
-    return outcomes
+            cells[outcome.spec.cell_id(record["config_digest"])] = outcome
+        except (KeyError, TypeError, ValueError):
+            counters["corrupt"] += 1
+    return cells, counters
+
+
+_DAMAGE = {
+    "recovered": "recovered {} torn record(s)",
+    "skipped": "skipped {} unrecoverable line(s)",
+    "corrupt": "rejected {} corrupt checkpoint record(s)",
+    "stale": "re-simulating {} cell(s) journaled under another config",
+}
+
+
+def _warn_damage(path, counters: dict) -> None:
+    parts = [_DAMAGE[kind].format(n) for kind, n in counters.items() if n]
+    if parts:
+        warnings.warn(
+            f"{path}: journal damage — {', '.join(parts)}", stacklevel=3
+        )
+
+
+def load_checkpoint(path: str | Path) -> dict[str, RunOutcome]:
+    """Load a JSONL campaign journal keyed by display key (later records
+    win), tolerating corruption anywhere in the file: a truncated
+    trailing line (the normal aftermath of a crash mid-append) *and* a
+    torn mid-file record are handled by resynchronizing on the next
+    decodable JSON object (:func:`read_journal_lines`); records that
+    fail their checksum are rejected.  Damage is reported in one
+    warning, never raised."""
+    cells, counters = _read_checkpoint(path)
+    _warn_damage(path, counters)
+    return {outcome.key: outcome for outcome in cells.values()}
+
+
+def _journaled_cells(path, specs) -> dict[RunSpec, RunOutcome]:
+    """The cells of ``specs`` a journal can serve on resume.
+
+    A record is reused only when its spec record and the config digest
+    it ran under match the cell's :meth:`RunSpec.cell_id` today, and its
+    checksum verifies.  Cells journaled under another config digest are
+    counted as stale in the journal-damage warning and re-simulated.
+    """
+    journaled, counters = _read_checkpoint(path)
+    cells = {}
+    for spec in specs:
+        hit = journaled.get(spec.cell_id())
+        if hit is not None:
+            cells[spec] = hit
+    ran = {outcome.spec for outcome in journaled.values()}
+    counters["stale"] = sum(
+        1 for spec in set(specs) if spec in ran and spec not in cells
+    )
+    _warn_damage(path, counters)
+    return cells
 
 
 class CheckpointJournal:
-    """Append-only JSONL writer; each record is flushed and fsynced so
-    a crash loses at most the record being written."""
+    """Append-only JSONL writer.  Each record carries the config digest
+    its cell ran under and a checksum of itself, and is flushed and
+    fsynced, so a crash loses at most the record being written."""
 
     def __init__(self, path: str | Path, fresh: bool = False):
         self.path = Path(path)
@@ -354,8 +431,11 @@ class CheckpointJournal:
             self.path.unlink()
 
     def append(self, outcome: RunOutcome) -> None:
+        record = outcome.as_record()
+        record["config_digest"] = outcome.spec.config_digest()
+        record["checksum"] = _checksum(record)
         with open(self.path, "a") as fh:
-            fh.write(json.dumps(outcome.as_record(), sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
 
@@ -380,13 +460,6 @@ def execute_spec(record: dict) -> dict:
     if relay is not None:
         observe = Observation(record_events=False)
         relay.attach(observe)
-    fault_plan = None
-    if spec.fault_kind:
-        from ..verify import FaultPlan
-
-        fault_plan = FaultPlan(
-            seed=spec.fault_seed, kinds=(spec.fault_kind,)
-        )
     result = run_workload(
         spec.workload,
         spec.mode,
@@ -394,7 +467,6 @@ def execute_spec(record: dict) -> dict:
         max_cycles=spec.max_cycles,
         observe=observe,
         check_invariants=spec.check_invariants,
-        fault_plan=fault_plan,
     )
     if relay is not None:
         relay.send_snapshot(stats=result.stats, final=True)
@@ -405,14 +477,27 @@ def execute_spec(record: dict) -> dict:
     }
 
 
-def _worker_main(conn, task, record: dict, telemetry: dict | None = None) -> None:
+def _worker_main(
+    conn, task, record: dict, telemetry: dict | None = None, inherited=()
+) -> None:
     """Subprocess entry: run the task, ship ok/err through the pipe.
+
+    ``inherited`` holds the parent-side pipe ends a forked worker
+    copied from the parent — its own and every earlier worker's.  They
+    are closed first: while a worker holds a read end, the parent's
+    death never raises EPIPE in the writer, so a worker streaming into
+    a full pipe would block forever.  SIGTERM goes back to its default
+    action, since the parent's drain handler is inherited too and
+    termination must stay termination.
 
     ``telemetry`` (when campaign telemetry is enabled) carries the
     relay configuration — ``{"run", "worker", "sample"}`` — and installs
     a :class:`~repro.obs.aggregate.TelemetryRelay` streaming through
     the same ``conn`` as interleaved ``("telemetry", envelope)`` tuples.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    for other in inherited:
+        other.close()
     if telemetry is not None:
         set_current_relay(
             TelemetryRelay(
@@ -452,38 +537,32 @@ class _Attempt:
     started: float = 0.0
 
 
+#: What the pool's ``receive`` returns for a worker still running.
+_RUNNING = "running"
+
+
 class CampaignExecutor:
     """Fault-tolerant runner for a list of :class:`RunSpec` cells.
 
     ``jobs=0`` executes inline in this process (no isolation, timeouts
     unenforced — the mode unit tests and debuggers want); ``jobs>=1``
     fans out over that many worker processes with per-run wall-clock
-    ``timeout`` seconds enforced by terminating the worker.
+    ``timeout`` seconds enforced by terminating the worker; a cell
+    that overruns ends as a terminal ``timeout`` cell.
 
     ``task`` maps a spec record dict to a result payload dict and
     defaults to :func:`execute_spec`; tests inject flaky tasks through
     it (module-level functions only when ``jobs>=1`` — workers pickle
     the callable).  ``sleep``/``clock`` are injectable for backoff
-    tests.
-
-    Retry backoff is exponential with seeded multiplicative *jitter*
-    (``delay = backoff * factor**(attempt-1) * (1 + jitter * u)``,
-    ``u ~ U[0,1)`` from ``random.Random(jitter_seed)``), so a burst of
-    simultaneous failures does not re-launch in lockstep; ``jitter=0``
-    restores the pure exponential schedule.
-
-    ``retry_timeouts=True`` reclassifies per-run wall-clock timeouts as
-    retryable: the hung worker is terminated and *replaced* by a fresh
-    attempt (within the ``retries`` budget) instead of journaling a
-    terminal ``timeout`` cell.  The campaign service uses this as its
-    hung-worker replacement mechanism.
+    tests.  Retry backoff is exponential with seeded multiplicative
+    jitter (:data:`JITTER`, :data:`JITTER_SEED`).
 
     ``stop`` is a zero-argument drain hook polled between launches:
-    once it returns true, no further cell is started, active workers
-    are terminated *without journaling* their unfinished cells, and
-    :meth:`run` returns only the cells that settled — the journal plus
-    a later ``resume=True`` run picks up exactly where the drain cut
-    off.
+    once it returns true, no further cell is started, every cell whose
+    result already sits in its pipe is settled, the remaining workers
+    are terminated *without journaling* their cells, and :meth:`run`
+    returns only the cells that settled — the journal plus a later
+    ``resume=True`` run picks up exactly where the drain cut off.
     """
 
     def __init__(
@@ -493,9 +572,6 @@ class CampaignExecutor:
         retries: int = 2,
         backoff: float = 0.5,
         backoff_factor: float = 2.0,
-        jitter: float = 0.1,
-        jitter_seed: int = 0,
-        retry_timeouts: bool = False,
         task=None,
         observation=None,
         sleep=time.sleep,
@@ -508,15 +584,11 @@ class CampaignExecutor:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {jitter}")
         self.jobs = jobs
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.backoff_factor = backoff_factor
-        self.jitter = jitter
-        self.retry_timeouts = retry_timeouts
         self.task = task or execute_spec
         self.observation = observation
         # Campaign telemetry: a repro.obs.aggregate.TelemetryAggregator
@@ -524,7 +596,7 @@ class CampaignExecutor:
         self.telemetry = telemetry
         self.telemetry_sample = telemetry_sample
         self.stop = stop
-        self._jitter_rng = _random.Random(jitter_seed)
+        self._jitter_rng = _random.Random(JITTER_SEED)
         self._worker_counter = 0
         self._sleep = sleep
         self._clock = clock
@@ -547,29 +619,28 @@ class CampaignExecutor:
         """Execute every spec; returns outcomes in spec order.
 
         With ``checkpoint``, completed cells are journaled as they
-        finish; with ``resume`` additionally set, cells already in the
-        journal are skipped and returned as ``resumed`` outcomes.
+        finish; with ``resume`` additionally set, cells the journal
+        already holds (same :meth:`RunSpec.cell_id`, intact record) are
+        skipped and returned as ``resumed`` outcomes, and new records
+        are appended — so several campaigns can share one journal.
         """
         specs = list(specs)
         journal = None
-        completed: dict[str, RunOutcome] = {}
+        outcomes: dict[RunSpec, RunOutcome] = {}
         if checkpoint is not None:
             if resume:
-                completed = load_checkpoint(checkpoint)
+                outcomes = _journaled_cells(checkpoint, specs)
             journal = CheckpointJournal(checkpoint, fresh=not resume)
 
         if self.telemetry is not None:
             self.telemetry.register_specs(specs)
 
-        outcomes: dict[str, RunOutcome] = {}
         pending: deque[_Attempt] = deque()
         for spec in specs:
-            if spec.key in completed:
-                outcomes[spec.key] = completed[spec.key]
-                if self.telemetry is not None:
-                    self.telemetry.on_run_settled(completed[spec.key])
-            else:
+            if spec not in outcomes:
                 pending.append(_Attempt(spec))
+            elif self.telemetry is not None:
+                self.telemetry.on_run_settled(outcomes[spec])
 
         if pending:
             execute = self._run_inline if self.jobs == 0 else self._run_pool
@@ -577,7 +648,7 @@ class CampaignExecutor:
         # A drain (``stop`` hook) leaves unfinished cells unsettled;
         # they are simply absent from the returned list and stay
         # resumable from the journal.
-        return [outcomes[spec.key] for spec in specs if spec.key in outcomes]
+        return [outcomes[spec] for spec in specs if spec in outcomes]
 
     # -- shared bookkeeping --------------------------------------------
     def _stopping(self) -> bool:
@@ -586,9 +657,7 @@ class CampaignExecutor:
     def _backoff_delay(self, attempt: int) -> tuple[float, float]:
         """``(base, jittered)`` delay before re-attempting."""
         base = self.backoff * (self.backoff_factor ** (attempt - 1))
-        if self.jitter <= 0:
-            return base, base
-        return base, base * (1.0 + self.jitter * self._jitter_rng.random())
+        return base, base * (1.0 + JITTER * self._jitter_rng.random())
 
     def _settle(
         self,
@@ -597,7 +666,7 @@ class CampaignExecutor:
         outcomes: dict,
         journal,
     ) -> None:
-        outcomes[item.spec.key] = outcome
+        outcomes[item.spec] = outcome
         if journal is not None:
             journal.append(outcome)
         if self.telemetry is not None:
@@ -614,7 +683,6 @@ class CampaignExecutor:
                 exception=outcome.failure.exception,
                 attempts=outcome.attempts,
             )
-
     def _failure(
         self,
         item: _Attempt,
@@ -720,7 +788,7 @@ class CampaignExecutor:
     # -- process pool (jobs >= 1) --------------------------------------
     def _run_pool(self, pending: deque, outcomes: dict, journal) -> None:
         ctx = mp.get_context()
-        active: list[dict] = []   # {"proc", "conn", "item"}
+        active: dict = {}   # parent-side conn -> (proc, attempt)
 
         def launch(item: _Attempt) -> None:
             parent_conn, child_conn = ctx.Pipe(duplex=False)
@@ -736,7 +804,10 @@ class CampaignExecutor:
                 }
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, self.task, item.spec.as_record(), telemetry),
+                args=(
+                    child_conn, self.task, item.spec.as_record(), telemetry,
+                    (parent_conn, *active),
+                ),
                 daemon=True,
             )
             item.started = self._clock()
@@ -745,13 +816,34 @@ class CampaignExecutor:
             self._emit("run_started", item.spec, attempt=item.attempt)
             if self.telemetry is not None:
                 self.telemetry.on_run_started(item.spec.key, item.attempt)
-            active.append({"proc": proc, "conn": parent_conn, "item": item})
+            active[parent_conn] = (proc, item)
 
-        def reap(entry: dict, msg) -> None:
-            active.remove(entry)
-            entry["conn"].close()
-            entry["proc"].join()
-            item = entry["item"]
+        def receive(conn):
+            """Forward the worker's queued telemetry; return its result
+            tuple, ``None`` if the pipe closed without one (the worker
+            died), or ``_RUNNING``."""
+            while True:
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    return None
+                if msg[0] != "telemetry":
+                    return msg
+                if self.telemetry is not None:
+                    self.telemetry.ingest(msg[1])
+                if not conn.poll():
+                    return _RUNNING
+
+        def retire(conn, kill: bool = False):
+            proc, item = active.pop(conn)
+            conn.close()
+            if kill:
+                proc.terminate()
+            proc.join()
+            return proc, item
+
+        def reap(conn, msg) -> None:
+            proc, item = retire(conn)
             duration = self._clock() - item.started
             if msg is not None and msg[0] == "ok":
                 outcome = RunOutcome(
@@ -770,7 +862,7 @@ class CampaignExecutor:
                 kind = classify_exception(name, retryable)
             else:  # pipe closed without a message: the worker died
                 name = "WorkerDied"
-                message = f"worker exited with code {entry['proc'].exitcode}"
+                message = f"worker exited with code {proc.exitcode}"
                 tb, diag = "", None
                 kind = RETRYABLE
             if self._should_retry(item, kind):
@@ -790,18 +882,10 @@ class CampaignExecutor:
                 journal,
             )
 
-        def cancel(entry: dict) -> None:
-            """Terminate an over-deadline worker: replace it with a
-            fresh attempt when ``retry_timeouts`` allows, otherwise
-            journal a terminal timeout cell."""
-            active.remove(entry)
-            entry["conn"].close()
-            proc, item = entry["proc"], entry["item"]
-            proc.terminate()
-            proc.join()
-            if self.retry_timeouts and self._should_retry(item, RETRYABLE):
-                self._requeue(item, pending)
-                return
+        def cancel(conn) -> None:
+            """Terminate an over-deadline worker; its cell ends as a
+            terminal timeout."""
+            _, item = retire(conn, kill=True)
             failure = self._failure(
                 item,
                 TIMEOUT,
@@ -824,14 +908,17 @@ class CampaignExecutor:
 
         while pending or active:
             if self._stopping():
-                # Graceful drain: terminate active workers without
-                # journaling their cells (the journal keeps only
-                # *settled* cells, so resume recomputes exactly these).
-                for entry in list(active):
-                    entry["conn"].close()
-                    entry["proc"].terminate()
-                    entry["proc"].join()
-                active.clear()
+                # Graceful drain: settle every cell whose result already
+                # sits in its pipe, then terminate the rest without
+                # journaling them (the journal keeps only *settled*
+                # cells, so resume recomputes exactly these).  A worker
+                # that died meanwhile stays unsettled too.
+                for conn in _conn_wait(list(active), timeout=0):
+                    msg = receive(conn)
+                    if isinstance(msg, tuple):
+                        reap(conn, msg)
+                for conn in list(active):
+                    retire(conn, kill=True)
                 pending.clear()
                 return
             now = self._clock()
@@ -859,44 +946,24 @@ class CampaignExecutor:
             wait_for = 60.0 if self.stop is None else 0.25
             if self.timeout is not None:
                 nearest = min(
-                    e["item"].started + self.timeout for e in active
+                    item.started + self.timeout for _, item in active.values()
                 )
                 wait_for = min(wait_for, max(0.0, nearest - now))
             if pending:
                 next_ready = min(item.ready_at for item in pending)
                 wait_for = min(wait_for, max(0.0, next_ready - now))
-            ready = _conn_wait([e["conn"] for e in active], timeout=wait_for)
-            for conn in ready:
-                entry = next(e for e in active if e["conn"] is conn)
-                # Drain interleaved telemetry without reaping: the
-                # worker is still running until it ships ok/err (or
-                # dies, closing the pipe).
-                while True:
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        reap(entry, None)
-                        break
-                    if (
-                        isinstance(msg, tuple)
-                        and msg
-                        and msg[0] == "telemetry"
-                    ):
-                        if self.telemetry is not None:
-                            self.telemetry.ingest(msg[1])
-                        if conn.poll():
-                            continue
-                        break
-                    reap(entry, msg)
-                    break
+            for conn in _conn_wait(list(active), timeout=wait_for):
+                msg = receive(conn)
+                if msg is not _RUNNING:
+                    reap(conn, msg)
             if self.timeout is not None:
                 now = self._clock()
-                for entry in [
-                    e
-                    for e in active
-                    if now - e["item"].started > self.timeout
+                for conn in [
+                    conn
+                    for conn, (_, item) in active.items()
+                    if now - item.started > self.timeout
                 ]:
-                    cancel(entry)
+                    cancel(conn)
 
 
 # ======================================================================

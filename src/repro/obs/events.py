@@ -76,18 +76,6 @@ EVENT_TYPES: frozenset[str] = frozenset(
         "sample_checkpoint",   # one functional checkpoint captured
         "sample_window_done",  # one detailed window settled (ipc/mpki)
         "sample_estimate",     # extrapolated metrics + confidence bounds
-        # Campaign service (repro.service, service-process bus; cycle
-        # is -1, these are wall-clock-side).
-        "job_submitted",       # a job was journaled and queued
-        "job_started",         # the dispatcher began executing a job
-        "job_finished",        # a job reached a terminal state (status)
-        "job_rejected",        # backpressure: queue full / draining
-        "job_resumed",         # journal replay re-enqueued an unfinished job
-        "job_cancelled",       # a queued job was cancelled by a client
-        "cell_cached",         # a cell was served from the result cache
-        "cell_simulated",      # a cell missed the cache and simulated
-        "service_drain",       # graceful drain began (SIGTERM)
-        "heartbeat_missed",    # a running job went silent past the limit
     }
 )
 

@@ -29,7 +29,6 @@ from .faults import (
 )
 from .invariants import InvariantChecker, InvariantViolation
 from .campaign import DEFAULT_WORKLOADS, run_fault_campaign
-from .chaos import classify_chaos
 
 __all__ = [
     "DEFAULT_WORKLOADS",
@@ -40,7 +39,6 @@ __all__ = [
     "FaultPlan",
     "InvariantChecker",
     "InvariantViolation",
-    "classify_chaos",
     "fault_context",
     "progress_diagnostics",
     "run_fault_campaign",

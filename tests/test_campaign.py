@@ -1,46 +1,29 @@
-"""Tests for campaign persistence and regression diffing."""
+"""Tests for campaign regression diffing over checkpoint journals."""
 
-import json
+import dataclasses
 
 import pytest
 
-from repro.harness import CampaignExecutor, ExperimentSuite, RunSpec
-from repro.harness.campaign import (
-    campaign_to_dict,
-    diff_campaigns,
-    load_campaign,
-    save_campaign,
-)
+from repro.harness import CampaignExecutor, RunSpec, load_checkpoint
+from repro.harness.campaign import diff_campaigns
 
 
 @pytest.fixture(scope="module")
-def small_suite():
-    suite = ExperimentSuite(scale="tiny", workloads=("xz",))
-    suite.result("xz", "baseline")
-    suite.result("xz", "tea")
-    return suite
+def journal(tmp_path_factory):
+    """A real xz campaign (baseline + tea, tiny) as loaded from its
+    checkpoint journal."""
+    path = tmp_path_factory.mktemp("campaign") / "xz.jsonl"
+    specs = [RunSpec("xz", mode, "tiny") for mode in ("baseline", "tea")]
+    CampaignExecutor(jobs=0).run(specs, checkpoint=path)
+    return load_checkpoint(path)
 
 
-class TestSerialization:
-    def test_roundtrip(self, small_suite, tmp_path):
-        path = save_campaign(small_suite, tmp_path / "campaign.json")
-        data = load_campaign(path)
-        assert data["scale"] == "tiny"
-        assert "xz/baseline" in data["runs"]
-        assert "xz/tea" in data["runs"]
-
-    def test_run_payload_complete(self, small_suite):
-        data = campaign_to_dict(small_suite)
-        run = data["runs"]["xz/tea"]
-        for key in ("ipc", "mpki", "coverage", "accuracy", "early_flushes"):
-            assert key in run
-        assert run["validated"] is True
-
-    def test_schema_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"schema": 99, "runs": {}}')
-        with pytest.raises(ValueError, match="schema"):
-            load_campaign(path)
+def with_ipc_scaled(campaign: dict, key: str, factor: float) -> dict:
+    """A copy of ``campaign`` whose ``key`` cell runs ``factor``x the IPC."""
+    outcome = campaign[key]
+    stats = dict(outcome.stats)
+    stats["cycles"] = round(stats["cycles"] / factor)
+    return {**campaign, key: dataclasses.replace(outcome, stats=stats)}
 
 
 def _ok_task(record):
@@ -52,45 +35,21 @@ def _ok_task(record):
 
 
 class TestTolerantLoading:
-    def test_corrupt_json_raises_typed_error(self, tmp_path):
-        path = tmp_path / "corrupt.json"
-        path.write_text('{"schema": 1, "runs": {"xz/tea": {"ipc": 1.2')
-        with pytest.raises(ValueError, match="corrupt campaign file"):
-            load_campaign(path)
-
-    def test_non_object_rejected(self, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.raises(ValueError, match="not a JSON object"):
-            load_campaign(path)
-
-    def test_corrupt_run_record_skipped_with_warning(self, small_suite, tmp_path):
-        path = save_campaign(small_suite, tmp_path / "campaign.json")
-        data = json.loads(path.read_text())
-        data["runs"]["xz/tea"] = "not-a-dict"
-        path.write_text(json.dumps(data))
-        with pytest.warns(UserWarning, match="corrupt run record 'xz/tea'"):
-            loaded = load_campaign(path)
-        assert "xz/tea" not in loaded["runs"]
-        assert "xz/baseline" in loaded["runs"]
-
     def test_executor_journal_loads_as_campaign(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         specs = [RunSpec("xz", m, "tiny") for m in ("baseline", "tea")]
         CampaignExecutor(jobs=0, task=_ok_task).run(specs, checkpoint=path)
-        data = load_campaign(path)
-        assert data["scale"] == "tiny"
-        assert data["workloads"] == ["xz"]
-        assert set(data["runs"]) == {"xz/baseline", "xz/tea"}
-        assert data["runs"]["xz/tea"]["ipc"] == pytest.approx(2.0)
+        campaign = load_checkpoint(path)
+        assert set(campaign) == {"xz/baseline", "xz/tea"}
+        assert {o.spec.scale for o in campaign.values()} == {"tiny"}
+        assert campaign["xz/tea"].sim_stats().ipc == pytest.approx(2.0)
 
     def test_single_record_journal_loads(self, tmp_path):
         path = tmp_path / "one.jsonl"
         CampaignExecutor(jobs=0, task=_ok_task).run(
             [RunSpec("xz", "tea", "tiny")], checkpoint=path
         )
-        data = load_campaign(path)
-        assert set(data["runs"]) == {"xz/tea"}
+        assert set(load_checkpoint(path)) == {"xz/tea"}
 
     def test_journal_with_corrupt_tail_loads_rest(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -99,8 +58,8 @@ class TestTolerantLoading:
         with open(path, "a") as fh:
             fh.write('{"spec": {"workload": "mcf", "mo')  # crash mid-append
         with pytest.warns(UserWarning, match="journal damage"):
-            data = load_campaign(path)
-        assert set(data["runs"]) == {"xz/baseline", "xz/tea"}
+            campaign = load_checkpoint(path)
+        assert set(campaign) == {"xz/baseline", "xz/tea"}
 
     def test_failed_cell_preserved_in_loaded_campaign(self, tmp_path):
         def failing(record):
@@ -111,37 +70,31 @@ class TestTolerantLoading:
         path = tmp_path / "journal.jsonl"
         specs = [RunSpec("xz", m, "tiny") for m in ("baseline", "tea")]
         CampaignExecutor(jobs=0, task=failing).run(specs, checkpoint=path)
-        data = load_campaign(path)
-        assert data["runs"]["xz/tea"]["failure"] == "fatal"
-        assert "model bug" in data["runs"]["xz/tea"]["error"]
+        campaign = load_checkpoint(path)
+        assert campaign["xz/tea"].failure.kind == "fatal"
+        assert "model bug" in campaign["xz/tea"].failure.message
         # Failed cells never contribute to diffs.
-        assert diff_campaigns(data, data) == []
+        assert diff_campaigns(campaign, campaign) == []
 
 
 class TestDiff:
-    def test_identical_campaigns_no_movements(self, small_suite):
-        data = campaign_to_dict(small_suite)
-        assert diff_campaigns(data, data) == []
+    def test_identical_campaigns_no_movements(self, journal):
+        assert diff_campaigns(journal, journal) == []
 
-    def test_regression_detected(self, small_suite):
-        before = campaign_to_dict(small_suite)
-        after = campaign_to_dict(small_suite)
-        after["runs"]["xz/tea"] = dict(after["runs"]["xz/tea"])
-        after["runs"]["xz/tea"]["ipc"] *= 0.9
-        movements = diff_campaigns(before, after)
+    def test_regression_detected(self, journal):
+        after = with_ipc_scaled(journal, "xz/tea", 0.9)
+        movements = diff_campaigns(journal, after)
         assert movements
         assert movements[0]["run"] == "xz/tea"
         assert movements[0]["delta_pct"] == pytest.approx(-10.0, abs=0.1)
 
-    def test_threshold_filters_noise(self, small_suite):
-        before = campaign_to_dict(small_suite)
-        after = campaign_to_dict(small_suite)
-        after["runs"]["xz/tea"] = dict(after["runs"]["xz/tea"])
-        after["runs"]["xz/tea"]["ipc"] *= 1.005
-        assert diff_campaigns(before, after, threshold_pct=1.0) == []
+    def test_threshold_filters_noise(self, journal):
+        after = with_ipc_scaled(journal, "xz/tea", 1.005)
+        assert diff_campaigns(journal, after, threshold_pct=1.0) == []
 
-    def test_new_runs_ignored(self, small_suite):
-        before = campaign_to_dict(small_suite)
-        after = campaign_to_dict(small_suite)
-        after["runs"]["new/one"] = {"ipc": 1.0}
-        assert diff_campaigns(before, after) == []
+    def test_new_runs_ignored(self, journal):
+        new = dataclasses.replace(
+            journal["xz/tea"], spec=RunSpec("new", "one", "tiny")
+        )
+        after = {**journal, "new/one": new}
+        assert diff_campaigns(journal, after) == []

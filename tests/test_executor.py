@@ -2,8 +2,10 @@
 per-run timeouts, checkpoint kill-and-resume, failure records,
 run-lifecycle telemetry, and parallel/serial determinism."""
 
+import hashlib
 import json
 import os
+import signal
 import time
 import warnings
 
@@ -17,6 +19,7 @@ from repro.harness import (
     matrix_specs,
     summarize_outcomes,
 )
+from repro.harness import executor as executor_module
 from repro.harness.executor import (
     FATAL,
     RETRYABLE,
@@ -108,7 +111,8 @@ class TestClassification:
 
 
 class TestInlineRetryBackoff:
-    def test_flaky_run_retries_until_success(self):
+    def test_flaky_run_retries_until_success(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "JITTER", 0.0)
         attempts = []
 
         def flaky(record):
@@ -123,7 +127,6 @@ class TestInlineRetryBackoff:
             jobs=0,
             retries=2,
             backoff=0.5,
-            jitter=0.0,
             task=flaky,
             observation=obs,
             sleep=delays.append,
@@ -269,6 +272,65 @@ class TestCheckpointResume:
         )
         assert len(load_checkpoint(path)) == 1
 
+    def test_journal_is_not_served_for_a_different_spec(self, tmp_path):
+        path = tmp_path / "cp.jsonl"
+        tiny = RunSpec("xz", "baseline", "tiny")
+        bench = RunSpec("xz", "baseline", "bench", check_invariants=64)
+        CampaignExecutor(jobs=0, task=ok_task).run([tiny], checkpoint=path)
+
+        executed = []
+
+        def scale_task(record):
+            executed.append(record)
+            return {
+                "stats": {"cycles": 999, "retired_instructions": 1},
+                "validated": True,
+                "halted": True,
+            }
+
+        [outcome] = CampaignExecutor(jobs=0, task=scale_task).run(
+            [bench], checkpoint=path, resume=True
+        )
+        assert executed == [bench.as_record()]
+        assert not outcome.resumed
+        assert outcome.spec == bench
+        assert outcome.stats["cycles"] == 999
+
+    def test_record_from_another_config_digest_is_resimulated(
+        self, tmp_path
+    ):
+        path = tmp_path / "cp.jsonl"
+        CampaignExecutor(jobs=0, task=ok_task).run(
+            SPECS[:2], checkpoint=path
+        )
+        # Re-seal the first record as if it ran under another machine
+        # configuration: its checksum verifies, its digest is stale.
+        first, second = path.read_text().splitlines()
+        record = json.loads(first)
+        assert record["config_digest"] == SPECS[0].config_digest()
+        record["config_digest"] = "0" * 12
+        body = {k: v for k, v in record.items() if k != "checksum"}
+        record["checksum"] = hashlib.sha256(
+            json.dumps(body, sort_keys=True).encode()
+        ).hexdigest()
+        path.write_text(json.dumps(record) + "\n" + second + "\n")
+
+        executed = []
+
+        def counting(record):
+            executed.append(record["workload"])
+            return ok_task(record)
+
+        with pytest.warns(UserWarning, match="1 cell\\(s\\) journaled under "
+                                             "another config"):
+            outcomes = CampaignExecutor(jobs=0, task=counting).run(
+                SPECS[:2], checkpoint=path, resume=True
+            )
+        assert executed == ["alpha"]
+        assert [o.resumed for o in outcomes] == [False, True]
+        rerun = json.loads(path.read_text().splitlines()[-1])
+        assert rerun["config_digest"] == SPECS[0].config_digest()
+
 
 class TestProcessPool:
     def test_parallel_flaky_worker_retries(self, tmp_path, monkeypatch):
@@ -301,6 +363,20 @@ class TestProcessPool:
         assert by_key["slow/baseline"].failure.kind == TIMEOUT
         assert by_key["quick/baseline"].ok
         assert obs.bus.counts["run_failed"] == 1
+
+    def test_worker_terminates_despite_the_parent_sigterm_handler(self):
+        # ``repro run`` drains on SIGTERM; forked workers inherit that
+        # handler and must still die when the executor terminates them.
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            started = time.monotonic()
+            [outcome] = CampaignExecutor(
+                jobs=1, timeout=1.0, task=hang_task,
+            ).run([RunSpec("slow", "baseline", "tiny")])
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert outcome.status == "timeout"
+        assert time.monotonic() - started < 30  # not the 60s sleep
 
     def test_dead_worker_is_retryable(self):
         executor = CampaignExecutor(jobs=1, retries=0, task=dying_task)
@@ -429,20 +505,6 @@ class TestOutcomeRoundtrip:
         assert result.ipc == 0.0
 
 
-def hang_once_task(record):
-    """Hangs on the first attempt per cell (marker files, so it works
-    across worker processes), then completes — exercises hung-worker
-    replacement under ``retry_timeouts``."""
-    marker = os.path.join(
-        os.environ["FLAKY_DIR"], "hang_" + record["workload"]
-    )
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("attempted")
-        time.sleep(60)
-    return ok_task(record)
-
-
 def marker_task(record):
     """Completes normally but drops a marker file the parent's ``stop``
     hook can watch — cross-process drain trigger."""
@@ -452,16 +514,27 @@ def marker_task(record):
     return ok_task(record)
 
 
+def slow_finish_task(record):
+    """Trips the drain marker, then finishes 0.3 s later."""
+    marker = os.path.join(os.environ["FLAKY_DIR"], "drain_marker")
+    with open(marker, "w") as fh:
+        fh.write(record["workload"])
+    time.sleep(0.3)
+    return ok_task(record)
+
+
 class TestBackoffJitter:
-    def test_jitter_is_seeded_and_bounded(self):
+    def test_jitter_is_seeded_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "JITTER", 0.25)
+
         def always_down(record):
             raise OSError("still down")
 
         def delays_for(seed):
+            monkeypatch.setattr(executor_module, "JITTER_SEED", seed)
             delays = []
             CampaignExecutor(
-                jobs=0, retries=3, backoff=0.5, jitter=0.25,
-                jitter_seed=seed, task=always_down,
+                jobs=0, retries=3, backoff=0.5, task=always_down,
                 sleep=delays.append, clock=lambda: 0.0,
             ).run([SPECS[0]])
             return delays
@@ -484,7 +557,7 @@ class TestBackoffJitter:
         got = []
         obs.bus.subscribe(got.append, ("run_retried",))
         executor = CampaignExecutor(
-            jobs=0, retries=2, backoff=0.5, jitter=0.5, jitter_seed=3,
+            jobs=0, retries=2, backoff=0.5,
             task=always_down, observation=obs,
             sleep=lambda s: None, clock=lambda: 0.0,
         )
@@ -495,36 +568,9 @@ class TestBackoffJitter:
         assert got[1].data["backoff"] == pytest.approx(1.0)
         for event in got:
             base = event.data["backoff"]
-            assert base <= event.data["delay"] <= base * 1.5
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError, match="jitter"):
-            CampaignExecutor(jobs=0, jitter=-0.1)
-
-
-class TestRetryTimeouts:
-    def test_hung_worker_replaced_and_cell_retried(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("FLAKY_DIR", str(tmp_path))
-        obs = Observation()
-        executor = CampaignExecutor(
-            jobs=1, timeout=1.0, retries=1, backoff=0.05,
-            retry_timeouts=True, task=hang_once_task, observation=obs,
-        )
-        [outcome] = executor.run([RunSpec("slow", "baseline", "tiny")])
-        assert outcome.ok
-        assert outcome.attempts == 2
-        assert obs.bus.counts["run_retried"] == 1
-
-    def test_timeout_retry_budget_exhausted(self):
-        executor = CampaignExecutor(
-            jobs=1, timeout=0.5, retries=1, backoff=0.05,
-            retry_timeouts=True, task=hang_task,
-        )
-        [outcome] = executor.run([RunSpec("slow", "baseline", "tiny")])
-        assert outcome.status == "timeout"
-        assert outcome.attempts == 2
+            assert base <= event.data["delay"] <= base * (
+                1 + executor_module.JITTER
+            )
 
 
 class TestDrainStop:
@@ -568,6 +614,30 @@ class TestDrainStop:
         )
         assert len(resumed) == len(SPECS)
         assert all(o.ok for o in resumed)
+
+
+    def test_drain_settles_results_already_in_the_pipe(
+        self, tmp_path, monkeypatch
+    ):
+        # The task trips the drain and finishes 0.3 s later; the hook
+        # takes 0.6 s to answer, so when the drain begins the finished
+        # result is already waiting in the worker's pipe.
+        monkeypatch.setenv("FLAKY_DIR", str(tmp_path))
+        marker = tmp_path / "drain_marker"
+
+        def slow_stop():
+            if not marker.exists():
+                return False
+            time.sleep(0.6)
+            return True
+
+        path = tmp_path / "cp.jsonl"
+        outcomes = CampaignExecutor(
+            jobs=1, task=slow_finish_task, stop=slow_stop,
+        ).run(SPECS[:1], checkpoint=path)
+        assert [o.key for o in outcomes] == [SPECS[0].key]
+        assert outcomes[0].ok
+        assert list(load_checkpoint(path)) == [SPECS[0].key]
 
 
 class TestTornJournalRecovery:

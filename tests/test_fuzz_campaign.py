@@ -136,3 +136,25 @@ class TestRegistry:
         monkeypatch.setenv(CORPUS_ENV, str(tmp_path))
         with pytest.raises(ValueError):
             make_workload("fuzz/no-such-record")
+
+
+class TestCheckpointIdentity:
+    def test_resume_never_serves_cells_across_bugs_or_knobs(
+        self, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        journal = tmp_path / "journal.jsonl"
+        clean = [
+            "fuzz", "--seeds", "6", "--no-shrink",
+            "--corpus", str(tmp_path / "corpus"),
+            "--checkpoint", str(journal),
+        ]
+        assert main(clean) == 0
+        capsys.readouterr()
+        # A clean journal must not mask the planted bug...
+        assert main(clean + ["--seeded-bug", "xor-as-or", "--resume"]) == 1
+        assert "6 seed(s): 0 pass, 6 divergence" in capsys.readouterr().out
+        # ...nor stand in for another generator profile.
+        assert main(clean + ["--knobs", "loops=1", "--resume"]) == 0
+        assert len(journal.read_text().splitlines()) == 18
