@@ -33,6 +33,7 @@ from ..isa import (
     branch_target,
     compute_result,
     effective_address,
+    raw_bits,
 )
 from ..isa.registers import NUM_ARCH_REGS
 from ..memory.cache import line_address
@@ -56,6 +57,22 @@ from operator import attrgetter
 _MEM_CLASSES = (UopClass.LOAD, UopClass.STORE)
 _NO_EXEC_CLASSES = (UopClass.NOP, UopClass.HALT)
 _COMPLETE_ORDER = attrgetter("seq", "is_tea")
+
+
+def _tea_eval(fn, instr, values):
+    """Evaluate ``fn(instr, values)`` for a TEA uop.
+
+    A mis-speculated TEA chain can read a register holding data of the
+    wrong type (an integer uop fed an FP load's value).  Such a read
+    sees the raw 64-bit register pattern, as hardware would, instead of
+    crashing the simulator; evaluations that succeed are untouched.
+    Main-thread uops never come here: a type error there is a model
+    bug and must raise.
+    """
+    try:
+        return fn(instr, values)
+    except (TypeError, ValueError, OverflowError):
+        return fn(instr, tuple([raw_bits(value) for value in values]))
 
 
 class SimulationError(RuntimeError):
@@ -582,8 +599,10 @@ class Pipeline:
                 # straddle a TEA preg recycle that rewrote a source,
                 # and the stale address would target the wrong line.
                 values = self.prf.values
-                addr = effective_address(
-                    instr, tuple([values[p] for p in uop.src_pregs])
+                addr = _tea_eval(
+                    effective_address,
+                    instr,
+                    tuple([values[p] for p in uop.src_pregs]),
                 )
                 uop.mem_addr = addr
                 ready = self.hierarchy.access_load(addr, self.cycle)
@@ -606,7 +625,11 @@ class Pipeline:
                     uop.done_cycle = ready
         elif cls is UopClass.STORE:
             values = tuple([self.prf.values[p] for p in uop.src_pregs])
-            uop.mem_addr = effective_address(instr, values)
+            uop.mem_addr = (
+                _tea_eval(effective_address, instr, values)
+                if uop.is_tea
+                else effective_address(instr, values)
+            )
             uop.store_value = values[0]
             uop.done_cycle = self.cycle + 1
             # The store's address just resolved: re-arm loads parked on
@@ -614,16 +637,30 @@ class Pipeline:
             self.scheduler.store_executed(uop.is_tea)
         elif instr.is_branch:
             values = tuple([self.prf.values[p] for p in uop.src_pregs])
-            taken = branch_taken(instr, values)
+            if uop.is_tea:
+                taken = _tea_eval(branch_taken, instr, values)
+                target = (
+                    _tea_eval(branch_target, instr, values)
+                    if taken
+                    else instr.fallthrough_pc
+                )
+                uop.result = _tea_eval(compute_result, instr, values)
+            else:
+                taken = branch_taken(instr, values)
+                target = (
+                    branch_target(instr, values) if taken else instr.fallthrough_pc
+                )
+                uop.result = compute_result(instr, values)
             uop.br_taken = taken
-            uop.br_target = (
-                branch_target(instr, values) if taken else instr.fallthrough_pc
-            )
-            uop.result = compute_result(instr, values)
+            uop.br_target = target
             uop.done_cycle = self.cycle + 1
         else:
             values = tuple([self.prf.values[p] for p in uop.src_pregs])
-            uop.result = compute_result(instr, values)
+            uop.result = (
+                _tea_eval(compute_result, instr, values)
+                if uop.is_tea
+                else compute_result(instr, values)
+            )
             uop.done_cycle = self.cycle + instr.latency
         uop.state = UopState.EXECUTING
         done = uop.done_cycle

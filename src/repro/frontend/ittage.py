@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .history import HistoryState, fold_history
+from .history import LANE_BITS, HistoryState, fold_history
 
 
 @dataclass(frozen=True)
@@ -70,27 +70,51 @@ class Ittage:
             [_IttageEntry() for _ in range(size)] for _ in range(cfg.num_tables)
         ]
         self.base_targets: list[int | None] = [None] * (1 << cfg.base_index_bits)
+        self._idx_mask = (1 << cfg.table_index_bits) - 1
+        self._tag_mask = (1 << cfg.tag_bits) - 1
+        # Folded path history per table, cached per path value (the
+        # path only changes on a taken transfer).
+        self._path_key: int | None = None
+        self._path_folds: list[tuple[int, int, int, int]] = []
         self.predictions = 0
         self.allocations = 0
 
     def _keys(self, pc: int):
-        cfg = self.config
         history = self.history
-        idx_mask = (1 << cfg.table_index_bits) - 1
-        tag_mask = (1 << cfg.tag_bits) - 1
+        path = history.path
+        if path != self._path_key:
+            self._path_folds = self._fold_path(path)
+            self._path_key = path
+        folds = history.folds
+        idx_mask = self._idx_mask
+        tag_mask = self._tag_mask
         pc_bits = pc >> 2
         indices, tags = [], []
-        for i, hlen in enumerate(cfg.history_lengths):
-            folded = history.fold(self._idx_folds[i])
-            fpath = fold_history(history.path, min(hlen, 16), cfg.table_index_bits)
-            indices.append((pc_bits ^ (pc_bits >> (i + 2)) ^ folded ^ fpath) & idx_mask)
-            tag = (
-                pc_bits
-                ^ history.fold(self._tag_folds[i])
-                ^ (fold_history(history.path, min(hlen, 12), cfg.tag_bits - 1) << 1)
-            ) & tag_mask
-            tags.append(tag)
+        for i, (idx_shift, tag_shift, idx_path, tag_path) in enumerate(
+            self._path_folds
+        ):
+            indices.append(
+                (pc_bits ^ (pc_bits >> (i + 2)) ^ (folds >> idx_shift) ^ idx_path)
+                & idx_mask
+            )
+            tags.append((pc_bits ^ (folds >> tag_shift) ^ tag_path) & tag_mask)
         return tuple(indices), tuple(tags)
+
+    def _fold_path(self, path: int) -> list[tuple[int, int, int, int]]:
+        """Per table: (index lane shift, tag lane shift, index path
+        fold, tag path fold) — rebuilt once per path value."""
+        cfg = self.config
+        return [
+            (
+                idx_lane * LANE_BITS,
+                tag_lane * LANE_BITS,
+                fold_history(path, min(hlen, 16), cfg.table_index_bits),
+                fold_history(path, min(hlen, 12), cfg.tag_bits - 1) << 1,
+            )
+            for hlen, idx_lane, tag_lane in zip(
+                cfg.history_lengths, self._idx_folds, self._tag_folds
+            )
+        ]
 
     def predict(self, pc: int) -> IttagePrediction:
         """Predict the target of the indirect branch at ``pc``.

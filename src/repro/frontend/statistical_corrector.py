@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .history import HistoryState
+from .history import LANE_BITS, HistoryState
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,12 @@ class StatisticalCorrector:
         self.config = config or StatisticalCorrectorConfig()
         cfg = self.config
         self.history = history if history is not None else HistoryState()
-        self._folds = [
-            self.history.register_fold(hlen, cfg.history_bits)
-            for hlen in cfg.history_lengths
+        # (lane shift, xor key) per history table: each index reads its
+        # fold straight out of the packed history word.
+        self._lanes = [
+            (self.history.register_fold(hlen, cfg.history_bits) * LANE_BITS,
+             i * 0x9E37)
+            for i, hlen in enumerate(cfg.history_lengths)
         ]
         self._bias = [0] * (1 << cfg.bias_bits)
         self._tables = [
@@ -47,19 +50,14 @@ class StatisticalCorrector:
         self._min = -(1 << (cfg.counter_bits - 1))
         self._bias_mask = (1 << cfg.bias_bits) - 1
         self._hist_mask = (1 << cfg.history_bits) - 1
-        self._xor_keys = [i * 0x9E37 for i in range(len(cfg.history_lengths))]
         self.flips = 0
 
     def _indices(self, pc: int) -> tuple[int, tuple[int, ...]]:
         pc_bits = pc >> 2
-        folds = self.history._folds
-        ids = self._folds
+        folds = self.history.folds
         mask = self._hist_mask
         hist_indices = tuple(
-            [
-                (pc_bits ^ folds[ids[i]] ^ key) & mask
-                for i, key in enumerate(self._xor_keys)
-            ]
+            [(pc_bits ^ (folds >> shift) ^ key) & mask for shift, key in self._lanes]
         )
         return pc_bits & self._bias_mask, hist_indices
 

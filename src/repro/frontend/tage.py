@@ -16,9 +16,14 @@ queue entry).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
-from .history import HistoryState, fold_history
+from .history import LANE_BITS, HistoryState
+
+#: Path history bits a component folds, at most (one lane's worth).
+_PATH_FOLD_BITS = 16
+_PATH_FOLD_MASK = (1 << _PATH_FOLD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,8 @@ class Tage:
     """The TAGE predictor proper (no SC/L — see :mod:`tagescl`).
 
     The predictor is bound to one :class:`HistoryState`, on which it
-    registers incremental folded registers at construction (three per
-    component: index, tag, tag').
+    registers two folds per component at construction (index and tag)
+    and reads them as consecutive lanes of the packed history word.
     """
 
     def __init__(
@@ -117,19 +122,47 @@ class Tage:
         self.base = [0] * (1 << cfg.base_index_bits)  # 2-bit counters, 0..3
         self._ctr_max = (1 << (cfg.counter_bits - 1)) - 1
         self._ctr_min = -(1 << (cfg.counter_bits - 1))
-        # Hot-path constants for _compute_keys, plus a cache of the
-        # folded *path* history: the path only changes on a taken
-        # transfer, while keys are computed for every conditional, so
-        # folding each distinct (capped) length once per path value
-        # replaces num_tables fold_history() calls per prediction.
+        # Lane-parallel keys (_compute_keys): the index folds occupy
+        # lanes [first, first + n) of the packed history word and the
+        # tag folds the next n lanes, so one XOR of the shifted word
+        # with a per-PC term and a per-path term yields every index
+        # and tag at once, masked per lane and unpacked as shorts.
+        n = cfg.num_tables
+        first = self._idx_folds[0]
+        assert self._idx_folds + self._tag_folds == list(
+            range(first, first + 2 * n)
+        ), "TAGE folds must occupy consecutive lanes"
         self._idx_mask = (1 << cfg.table_index_bits) - 1
         self._tag_mask = (1 << cfg.tag_bits) - 1
-        self._capped = [min(hlen, 16) for hlen in self.histories]
-        self._distinct_capped = sorted(set(self._capped))
+        self._lane_shift = first * LANE_BITS
+        self._idx_lanes = (1 << (n * LANE_BITS)) - 1
+        # An index fold shifted onto its table's tag lane, one bit up.
+        self._tag_shift = n * LANE_BITS + 1
+        self._key_mask = 0
+        for i in range(n):
+            self._key_mask |= self._idx_mask << (i * LANE_BITS)
+            self._key_mask |= self._tag_mask << ((n + i) * LANE_BITS)
+        self._key_bytes = 2 * n * LANE_BITS // 8
+        self._tags_offset = n * LANE_BITS // 8
+        self._unpack = struct.Struct(f"<{n}H").unpack_from
+        # Per-PC key terms, memoized per static branch PC.
+        self._pc_terms: dict[int, int] = {}
+        # The folded *path* history term: the path only changes on a
+        # taken transfer, while keys are computed for every
+        # conditional, so it is rebuilt once per path value.
+        self._lane_ones = 0
+        self._path_caps = 0
+        self._path_rest = 0
+        for i, hlen in enumerate(self.histories):
+            self._lane_ones |= 1 << (i * LANE_BITS)
+            self._path_caps |= ((1 << min(hlen, _PATH_FOLD_BITS)) - 1) << (
+                i * LANE_BITS
+            )
+            self._path_rest |= ((1 << (LANE_BITS - cfg.table_index_bits)) - 1) << (
+                i * LANE_BITS
+            )
         self._path_key: int | None = None
-        # Fused per-table key specs (pc shift, idx fold id, tag fold id,
-        # folded path); rebuilt only when the path history changes.
-        self._fused: list[tuple[int, int, int, int]] = []
+        self._path_term = 0
         self._rev_tables = tuple(range(cfg.num_tables - 1, -1, -1))
         self._useful_max = (1 << cfg.useful_bits) - 1
         self._use_alt_mid = 1 << (cfg.use_alt_bits - 1)
@@ -144,40 +177,48 @@ class Tage:
         history = self.history
         path = history.path
         if path != self._path_key:
-            tib = self.config.table_index_bits
-            by_len = {
-                length: fold_history(path, length, tib)
-                for length in self._distinct_capped
-            }
-            capped = self._capped
-            self._fused = [
-                (i + 1, idx_id, tag_id, by_len[capped[i]])
-                for i, (idx_id, tag_id) in enumerate(
-                    zip(self._idx_folds, self._tag_folds)
-                )
-            ]
+            self._path_term = self._fold_path(path)
             self._path_key = path
-        folds = history._folds
-        idx_mask = self._idx_mask
-        tag_mask = self._tag_mask
-        pc_bits = pc >> 2
-        indices = []
-        tags = []
-        idx_append = indices.append
-        tag_append = tags.append
-        for shift, idx_id, tag_id, path_fold in self._fused:
-            folded_idx = folds[idx_id]
-            idx_append(
-                (pc_bits ^ (pc_bits >> shift) ^ folded_idx ^ path_fold)
-                & idx_mask
-            )
+        pc_term = self._pc_terms.get(pc)
+        if pc_term is None:
+            pc_term = self._pc_terms[pc] = self._pc_term(pc)
+        lanes = history.folds >> self._lane_shift
+        keys = (
+            lanes
             # The second tag hash reuses the index fold shifted by one —
             # one register fewer than Seznec's tag' with equivalent
             # mixing quality at these table sizes.
-            tag_append(
-                (pc_bits ^ folds[tag_id] ^ (folded_idx << 1)) & tag_mask
+            ^ ((lanes & self._idx_lanes) << self._tag_shift)
+            ^ pc_term
+            ^ self._path_term
+        ) & self._key_mask
+        buf = keys.to_bytes(self._key_bytes, "little")
+        return self._unpack(buf), self._unpack(buf, self._tags_offset)
+
+    def _pc_term(self, pc: int) -> int:
+        """Index lanes: ``pc ^ (pc >> (i + 1))``; tag lanes: ``pc``."""
+        n = self.config.num_tables
+        pc_bits = pc >> 2
+        term = 0
+        for i in range(n):
+            term |= ((pc_bits ^ (pc_bits >> (i + 1))) & self._idx_mask) << (
+                i * LANE_BITS
             )
-        return tuple(indices), tuple(tags)
+            term |= (pc_bits & self._tag_mask) << ((n + i) * LANE_BITS)
+        return term
+
+    def _fold_path(self, path: int) -> int:
+        """Index lanes: ``fold_history(path, min(length, 16), index
+        bits)`` per table, all lanes at once — copy the path into every
+        lane, cut each copy to its length, then XOR the chunks down."""
+        lanes = ((path & _PATH_FOLD_MASK) * self._lane_ones) & self._path_caps
+        shift = self.config.table_index_bits
+        term = 0
+        while lanes:
+            term ^= lanes & self._key_mask
+            # Drop the bits the shift pulls in from the next lane up.
+            lanes = (lanes >> shift) & self._path_rest
+        return term
 
     def _base_index(self, pc: int) -> int:
         return (pc >> 2) & ((1 << self.config.base_index_bits) - 1)

@@ -43,6 +43,7 @@ from .semantics import (
     branch_target,
     compute_result,
     effective_address,
+    raw_bits,
     to_signed64,
 )
 
@@ -80,5 +81,6 @@ __all__ = [
     "branch_target",
     "compute_result",
     "effective_address",
+    "raw_bits",
     "to_signed64",
 ]

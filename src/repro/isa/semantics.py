@@ -15,6 +15,8 @@ code must never crash the simulator.
 
 from __future__ import annotations
 
+import struct
+
 from .instructions import Instruction, UopClass
 
 _MASK64 = (1 << 64) - 1
@@ -25,6 +27,18 @@ def to_signed64(value: int) -> int:
     """Wrap an integer into signed 64-bit two's-complement range."""
     value &= _MASK64
     return value - (1 << 64) if value & _SIGN64 else value
+
+
+def raw_bits(value: int | float) -> int:
+    """The signed 64-bit register pattern of an operand value.
+
+    A float reads as its IEEE-754 bits; an integer is already its own
+    pattern.  What a register holding FP data looks like to an integer
+    uop.
+    """
+    if isinstance(value, float):
+        return struct.unpack("<q", struct.pack("<d", value))[0]
+    return value
 
 
 def _sdiv(a: int, b: int) -> int:

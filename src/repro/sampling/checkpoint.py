@@ -23,8 +23,8 @@ committed registers enter through the normal rename machinery
 (allocate + write + RAT update, preserving the preg-conservation
 invariant), the branch trace is replayed through the frontend's *real*
 predict/train path (warming the TAGE-SC-L and ITTAGE tables with the
-exact per-branch history context, and leaving the incremental history
-fold registers bit-exact — verified against the checkpointed GHR),
+exact per-branch history context, and leaving the GHR and its packed
+fold lanes bit-exact — verified against the checkpointed GHR),
 BTB entries are installed in insertion order (LRU order preserved),
 the RAS is pushed bottom-up, and TEA's H2P table replays the proxy
 misprediction counts.
@@ -232,8 +232,9 @@ def _replay_trace(
     the correct path: predict with the current history context, train
     with the actual outcome, then push the history bits.  Because every
     global-history push is traced and the trace depth exceeds the
-    512-bit history window, the incremental fold registers come out
-    bit-exact — verified against the checkpointed GHR below.
+    512-bit history window, the GHR comes out bit-exact — verified
+    against the checkpointed GHR below — and so does every packed fold
+    lane, each being a function of the GHR.
     """
     history = frontend.history
     if checkpoint.trace:

@@ -33,7 +33,7 @@ import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..harness.executor import CampaignExecutor, RunSpec
+from ..harness.executor import CampaignExecutor, RunOutcome, RunSpec
 from ..harness.runner import make_config
 from ..workloads import make_workload
 from .checkpoint import Checkpoint, run_and_capture
@@ -249,9 +249,7 @@ def run_sampled(
     outcomes = executor.run(specs)
     failed = [o for o in outcomes if not o.ok]
     if failed:
-        detail = "; ".join(
-            f"{o.key}: {o.status}" for o in failed
-        )
+        detail = "; ".join(_failure_detail(o) for o in failed)
         raise RuntimeError(f"sampled window(s) failed: {detail}")
 
     rows = sorted(
@@ -278,6 +276,17 @@ def run_sampled(
             mpki=report["estimates"]["mpki"]["value"],
         )
     return report
+
+
+def _failure_detail(outcome: RunOutcome) -> str:
+    """``key: status (kind Exception: message)`` for one failed window."""
+    failure = outcome.failure
+    if failure is None:
+        return f"{outcome.key}: {outcome.status}"
+    return (
+        f"{outcome.key}: {outcome.status} "
+        f"({failure.kind} {failure.exception}: {failure.message})"
+    )
 
 
 def _mean_ci(values: list[float]) -> tuple[float | None, float | None]:

@@ -1,10 +1,62 @@
-"""Unit + property tests for speculative history and folded registers."""
+"""Unit + property tests for speculative history and its packed folds."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.frontend import HistoryState, fold_history
+from repro.frontend.alternatives import GshareConfig, PerceptronConfig
+from repro.frontend.history import LANE_BITS, MAX_HISTORY_BITS
+from repro.frontend.ittage import IttageConfig
+from repro.frontend.statistical_corrector import StatisticalCorrectorConfig
+from repro.frontend.tage import Tage, TageConfig
 
 import pytest
+
+
+def _predictor_fold_shapes() -> list[tuple[int, int]]:
+    """Every (length, width) the default predictors register, plus the
+    extremes a lane admits."""
+    tage, sc, ittage = TageConfig(), StatisticalCorrectorConfig(), IttageConfig()
+    perceptron, gshare = PerceptronConfig(), GshareConfig()
+    shapes = [(length, tage.table_index_bits) for length in tage.history_lengths()]
+    shapes += [(length, tage.tag_bits) for length in tage.history_lengths()]
+    shapes += [(length, sc.history_bits) for length in sc.history_lengths]
+    shapes += [(length, ittage.table_index_bits) for length in ittage.history_lengths]
+    shapes += [(length, ittage.tag_bits) for length in ittage.history_lengths]
+    shapes += [
+        (length, perceptron.table_index_bits)
+        for length in perceptron.history_lengths
+        if length
+    ]
+    shapes.append((gshare.history_length, gshare.index_bits))
+    shapes += [(1, 1), (MAX_HISTORY_BITS, LANE_BITS - 1), (30, 15), (16, 8)]
+    return shapes
+
+
+FOLD_SHAPES = _predictor_fold_shapes()
+
+
+def _history_with_all_shapes() -> HistoryState:
+    h = HistoryState()
+    for length, width in FOLD_SHAPES:
+        h.register_fold(length, width)
+    return h
+
+
+_HISTORY_OPS = st.one_of(
+    st.tuples(st.just("cond"), st.booleans()),
+    st.tuples(
+        st.just("target"),
+        st.integers(min_value=0, max_value=(1 << 20) - 1),
+        st.integers(min_value=0, max_value=(1 << 20) - 1),
+    ),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore"), st.integers(min_value=0, max_value=7)),
+    st.tuples(
+        st.just("warm"),
+        st.integers(min_value=0, max_value=(1 << MAX_HISTORY_BITS) - 1),
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+    ),
+)
 
 
 class TestBasicHistory:
@@ -46,6 +98,22 @@ class TestFoldedRegisters:
             h.register_fold(0, 4)
         with pytest.raises(ValueError):
             h.register_fold(8, 0)
+
+    def test_fold_longer_than_the_ghr_rejected(self):
+        # Its outgoing bit would never be inside the GHR, so the fold
+        # would silently drift from fold_history(ghr, length, width).
+        h = HistoryState()
+        h.register_fold(MAX_HISTORY_BITS, 10)
+        with pytest.raises(ValueError, match="exceeds"):
+            h.register_fold(MAX_HISTORY_BITS + 1, 10)
+        with pytest.raises(ValueError, match="exceeds"):
+            Tage(TageConfig(max_history=1024))
+
+    def test_fold_wider_than_a_lane_rejected(self):
+        h = HistoryState()
+        h.register_fold(64, LANE_BITS - 1)
+        with pytest.raises(ValueError, match="lane"):
+            h.register_fold(64, LANE_BITS)
 
     def test_fold_width_bound(self):
         h = HistoryState()
@@ -91,6 +159,59 @@ class TestFoldedRegisters:
         for bit in suffix:
             h.push_conditional(bit)
         assert (h.ghr, h.fold(idx)) == after_first
+
+
+class TestPackedLanesMatchReference:
+    """Differential check of the packed fast path: every lane equals
+    fold_history(ghr, length, width), the reference it replaces."""
+
+    @staticmethod
+    def _assert_lanes_exact(h: HistoryState) -> None:
+        for lane, (length, width) in enumerate(FOLD_SHAPES):
+            expected = fold_history(h.ghr, length, width)
+            assert h.fold(lane) == expected, (lane, length, width)
+            assert (h.folds >> (lane * LANE_BITS)) & ((1 << LANE_BITS) - 1) == expected
+
+    @given(st.lists(_HISTORY_OPS, max_size=120))
+    @settings(max_examples=80, deadline=None)
+    def test_every_lane_equals_fold_history(self, ops):
+        h = _history_with_all_shapes()
+        snapshots = []
+        for op in ops:
+            kind = op[0]
+            if kind == "cond":
+                h.push_conditional(op[1])
+            elif kind == "target":
+                h.push_target(op[1], op[2])
+            elif kind == "snapshot":
+                snapshots.append(h.snapshot())
+            elif kind == "restore":
+                if snapshots:
+                    snap = snapshots[op[1] % len(snapshots)]
+                    h.restore(snap)
+                    assert h.snapshot() == snap
+            else:  # warm-start a fresh history, as sampled windows do
+                h = _history_with_all_shapes()
+                h.warm_replay(op[1], op[2])
+                assert h.ghr == op[1] and h.path == op[2]
+            self._assert_lanes_exact(h)
+
+    def test_long_run_matches(self):
+        h = _history_with_all_shapes()
+        for i in range(3 * MAX_HISTORY_BITS):
+            if i % 7 == 3:
+                h.push_target(i * 4, i * 12)
+            else:
+                h.push_conditional(i % 3 != 0 or i % 11 == 0)
+        self._assert_lanes_exact(h)
+
+    def test_warm_replay_equals_pushing_the_bits(self):
+        pushed = _history_with_all_shapes()
+        for i in range(MAX_HISTORY_BITS + 40):
+            pushed.push_conditional((i * 2654435761) >> 7 & 1)
+        warmed = _history_with_all_shapes()
+        warmed.warm_replay(pushed.ghr, pushed.path)
+        assert warmed.snapshot() == pushed.snapshot()
 
 
 class TestFoldHistoryFunction:

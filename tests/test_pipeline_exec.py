@@ -1,8 +1,12 @@
 """Integration tests: the OoO pipeline commits architectural state
 identical to the sequential reference interpreter."""
 
+import pytest
+
 from repro import MemoryImage, Pipeline, SimConfig, assemble
-from repro.isa import run_program
+from repro.core.dynamic_uop import DynUop
+from repro.harness.runner import make_config
+from repro.isa import raw_bits, run_program, to_signed64
 
 
 def run_both(source, mem_init=None):
@@ -249,3 +253,55 @@ class TestLimits:
         stats = pipeline.run(max_instructions=100, max_cycles=100_000)
         assert not pipeline.halted
         assert stats.retired_instructions >= 100
+
+
+class TestTeaWrongTypeOperands:
+    """A mis-speculated TEA chain may feed FP data to an integer uop;
+    it reads the raw 64-bit pattern instead of crashing the run."""
+
+    SOURCE = """
+        shli r2, r1, 3
+        ld r3, 8(r1)
+        st r3, 16(r1)
+        blt r1, r0, done
+        jr r1
+    done:
+        halt
+    """
+
+    def _execute(self, index, value, is_tea=True):
+        pipeline = Pipeline(
+            assemble(self.SOURCE), MemoryImage(), make_config("tea")
+        )
+        instr = pipeline.program.instructions[index]
+        uop = DynUop(0, instr, is_tea=is_tea)
+        # Every source but r0 reads the same preg, loaded with `value`.
+        pipeline.prf.values[1] = value
+        uop.src_pregs = tuple(1 if reg else 0 for reg in instr.srcs)
+        assert pipeline._start_execution(uop)
+        return uop
+
+    def test_alu_reads_float_as_raw_bits(self):
+        uop = self._execute(0, 1.5)
+        assert uop.result == to_signed64(raw_bits(1.5) << 3)
+
+    def test_load_and_store_addresses_read_raw_bits(self):
+        inf = float("inf")
+        assert self._execute(1, inf).mem_addr == to_signed64(raw_bits(inf) + 8)
+        assert self._execute(2, inf).mem_addr == to_signed64(raw_bits(inf) + 16)
+
+    def test_branch_target_reads_raw_bits(self):
+        nan = float("nan")
+        uop = self._execute(4, nan)
+        assert uop.br_taken
+        assert uop.br_target == raw_bits(nan)
+
+    def test_well_typed_evaluations_are_unchanged(self):
+        # Comparing a float with an integer succeeds, so the branch
+        # keeps its value semantics rather than the raw pattern's.
+        assert self._execute(3, -1.5).br_taken
+        assert self._execute(1, 4096.0).mem_addr == 4104
+
+    def test_main_thread_type_error_still_raises(self):
+        with pytest.raises(TypeError):
+            self._execute(0, 1.5, is_tea=False)

@@ -1,5 +1,7 @@
 """Unit tests for loop predictor, statistical corrector, ITTAGE, BTB."""
 
+import random
+
 import pytest
 
 from repro.frontend import (
@@ -10,6 +12,7 @@ from repro.frontend import (
     LoopPredictor,
     LoopPredictorConfig,
     StatisticalCorrector,
+    fold_history,
 )
 
 
@@ -119,6 +122,62 @@ class TestIttage:
     def test_unknown_pc_returns_none(self):
         it = Ittage(history=HistoryState())
         assert it.predict(0x77 << 2).target is None
+
+
+class TestPackedLaneReaders:
+    """SC and ITTAGE read their folds as lanes of the packed history word;
+    their indices must equal the per-fold loops computed from
+    fold_history, with ITTAGE's path folds cached per path value."""
+
+    @staticmethod
+    def _walk(history, rng, steps):
+        for _ in range(steps):
+            if rng.random() < 0.3:
+                history.push_target(rng.randrange(1 << 16) << 2, rng.randrange(1 << 16) << 2)
+            else:
+                history.push_conditional(rng.random() < 0.5)
+
+    def test_ittage_keys(self):
+        history = HistoryState()
+        StatisticalCorrector(history=history)  # lanes ahead of ITTAGE
+        it = Ittage(history=history)
+        cfg = it.config
+        rng = random.Random(11)
+        for _ in range(200):
+            self._walk(history, rng, rng.randrange(1, 6))
+            pc = rng.randrange(1 << 20) << 2
+            pc_bits = pc >> 2
+            indices, tags = [], []
+            for i, hlen in enumerate(cfg.history_lengths):
+                fpath = fold_history(history.path, min(hlen, 16), cfg.table_index_bits)
+                indices.append(
+                    (pc_bits ^ (pc_bits >> (i + 2))
+                     ^ fold_history(history.ghr, hlen, cfg.table_index_bits) ^ fpath)
+                    & ((1 << cfg.table_index_bits) - 1)
+                )
+                tags.append(
+                    (pc_bits ^ fold_history(history.ghr, hlen, cfg.tag_bits)
+                     ^ (fold_history(history.path, min(hlen, 12), cfg.tag_bits - 1) << 1))
+                    & ((1 << cfg.tag_bits) - 1)
+                )
+            assert it._keys(pc) == (tuple(indices), tuple(tags))
+
+    def test_sc_indices(self):
+        history = HistoryState()
+        history.register_fold(100, 12)  # a lane ahead of the corrector
+        sc = StatisticalCorrector(history=history)
+        cfg = sc.config
+        rng = random.Random(12)
+        for _ in range(200):
+            self._walk(history, rng, rng.randrange(1, 6))
+            pc = rng.randrange(1 << 20) << 2
+            pc_bits = pc >> 2
+            expected = tuple(
+                (pc_bits ^ fold_history(history.ghr, hlen, cfg.history_bits) ^ i * 0x9E37)
+                & ((1 << cfg.history_bits) - 1)
+                for i, hlen in enumerate(cfg.history_lengths)
+            )
+            assert sc._indices(pc) == (pc_bits & ((1 << cfg.bias_bits) - 1), expected)
 
 
 class TestBtb:

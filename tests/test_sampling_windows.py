@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.harness.executor import RunFailure, RunOutcome
+from repro.sampling import windows as windows_module
 from repro.sampling.validate import validate_cell
 from repro.sampling.windows import (
     place_windows,
@@ -95,6 +97,58 @@ class TestRunSampled:
         assert window["schema"] == 1
         assert window["measure"] == 1000
         assert window["checkpoint"]["workload"] == "bfs"
+
+
+class TestFailedWindows:
+    """A failed window's error names why it failed, not just that it did."""
+
+    def test_exception_kind_class_and_message_are_reported(
+        self, tmp_path, monkeypatch
+    ):
+        def broken_window(spec):
+            raise TypeError("unsupported operand type(s) for <<")
+
+        monkeypatch.setattr(windows_module, "execute_window", broken_window)
+        with pytest.raises(RuntimeError) as info:
+            run_sampled(
+                "bfs", mode="tea", scale="tiny",
+                windows=1, warmup=500, measure=1000, workdir=tmp_path,
+            )
+        message = str(info.value)
+        assert "window-000.json/tea: failed (fatal TypeError: " in message
+        assert "unsupported operand type(s) for <<" in message
+
+    def test_timeouts_are_reported_with_their_limit(
+        self, tmp_path, monkeypatch
+    ):
+        class TimingOutExecutor:
+            def __init__(self, **kwargs):
+                self.timeout = kwargs["timeout"]
+
+            def run(self, specs):
+                failure = RunFailure(
+                    kind="timeout",
+                    exception="RunTimeout",
+                    message=f"exceeded {self.timeout}s wall-clock limit",
+                    traceback="",
+                    config_digest="",
+                    seed=0,
+                )
+                return [
+                    RunOutcome(spec=spec, status="timeout", failure=failure)
+                    for spec in specs
+                ]
+
+        monkeypatch.setattr(windows_module, "CampaignExecutor", TimingOutExecutor)
+        with pytest.raises(RuntimeError) as info:
+            run_sampled(
+                "bfs", mode="tea", scale="tiny", timeout=5.0,
+                windows=1, warmup=500, measure=1000, workdir=tmp_path,
+            )
+        assert (
+            "window-000.json/tea: timeout "
+            "(timeout RunTimeout: exceeded 5.0s wall-clock limit)"
+        ) in str(info.value)
 
 
 class TestValidation:
