@@ -3,8 +3,8 @@
 Commands
 --------
 ``run``      simulate workloads (one run, or a fault-tolerant campaign;
-             ``--follow`` renders live campaign progress, ``--rollup-out``
-             writes the aggregated telemetry rollup)
+             ``--follow`` prints each cell as it settles, ``--rollup-out``
+             writes the campaign's telemetry rollup)
 ``compare``  simulate one workload under several modes side by side
 ``stats``    run with full telemetry and print the observability report
              (or summarize a saved ``--events`` JSONL dump)
@@ -75,6 +75,8 @@ import json
 import signal
 import sys
 import threading
+import time
+from functools import partial
 
 from .harness import (
     CampaignExecutor,
@@ -82,10 +84,12 @@ from .harness import (
     FIGURE_MODES,
     MODES,
     RunSpec,
+    campaign_rollup,
     run_workload,
     speedup_percent,
     summarize_outcomes,
 )
+from .harness.executor import execute_spec
 from .obs import Observation
 from .workloads import make_category, workload_names
 
@@ -118,13 +122,13 @@ def _print_stats(result) -> None:
     print(f"  validated         {result.validated}")
 
 
-def _make_executor(args, observation=None, telemetry=None) -> CampaignExecutor:
+def _make_executor(args, observation=None, task=None) -> CampaignExecutor:
     return CampaignExecutor(
         jobs=args.jobs,
         timeout=args.timeout,
         retries=args.retries,
+        task=task,
         observation=observation,
-        telemetry=telemetry,
     )
 
 
@@ -174,6 +178,18 @@ def _print_campaign(outcomes) -> None:
         print(f"  FAILED({kind}): {key}")
 
 
+def _print_settled(event) -> None:
+    """``--follow``: one line per cell as it settles (a bus callback
+    for the executor's ``run_finished``/``run_failed`` events)."""
+    data = event.data
+    print(
+        f"settled {data['workload']}/{data['mode']}: "
+        f"{data.get('status', 'ok')}, {data['attempts']} attempt(s), "
+        f"{data['seconds']:.2f}s",
+        flush=True,
+    )
+
+
 def _cmd_run(args) -> int:
     workloads = args.workload.split(",")
     modes = args.modes.split(",") if args.modes else [args.mode]
@@ -187,8 +203,22 @@ def _cmd_run(args) -> int:
         or args.rollup_out
     )
     if campaign:
-        if args.jobs < 0:
-            print("--jobs must be >= 0", file=sys.stderr)
+        single_run_flags = [
+            flag
+            for flag, value in (
+                ("--events-out", args.events_out),
+                ("--trace-out", args.trace_out),
+                ("--stats-out", args.stats_out),
+            )
+            if value
+        ]
+        if single_run_flags:
+            print(
+                f"{', '.join(single_run_flags)} record one in-process run, "
+                f"not a campaign (several workloads or modes, --jobs other "
+                f"than 1, --checkpoint, --resume, --follow, --rollup-out)",
+                file=sys.stderr,
+            )
             return 2
         if args.resume and not args.checkpoint:
             print("--resume requires --checkpoint PATH", file=sys.stderr)
@@ -207,26 +237,21 @@ def _cmd_run(args) -> int:
             for w in workloads
             for m in modes
         ]
-        telemetry = None
-        view = None
-        if args.follow or args.rollup_out:
-            from .obs import CampaignProgressView, TelemetryAggregator
-
-            if args.follow:
-                view = CampaignProgressView(specs)
-            telemetry = TelemetryAggregator(
-                jobs=max(1, args.jobs),
-                on_update=view.render if view is not None else None,
+        observation = Observation()
+        if args.follow:
+            observation.bus.subscribe(
+                _print_settled, ("run_finished", "run_failed")
             )
-        executor = _make_executor(
-            args, observation=Observation(), telemetry=telemetry
-        )
+        task = partial(execute_spec, observe=True) if args.rollup_out else None
+        executor = _make_executor(args, observation=observation, task=task)
+        started = time.monotonic()
         outcomes, drained = _run_campaign(executor, specs, args)
-        if view is not None:
-            view.finish(telemetry)
         if args.rollup_out:
+            rollup = campaign_rollup(
+                specs, outcomes, time.monotonic() - started
+            )
             with open(args.rollup_out, "w") as fh:
-                json.dump(telemetry.rollup(), fh, indent=2, sort_keys=True)
+                json.dump(rollup, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             print(f"wrote campaign rollup to {args.rollup_out}")
         _print_campaign(outcomes)
@@ -462,9 +487,6 @@ def _cmd_figure(args) -> int:
     workloads = tuple(args.workloads.split(",")) if args.workloads else None
     executor = None
     if args.jobs != 1 or args.checkpoint or args.resume:
-        if args.jobs < 0:
-            print("--jobs must be >= 0", file=sys.stderr)
-            return 2
         if args.resume and not args.checkpoint:
             print("--resume requires --checkpoint PATH", file=sys.stderr)
             return 2
@@ -991,6 +1013,19 @@ def _cmd_fuzz(args) -> int:
     return 1 if report["num_unique_failures"] else 0
 
 
+def _count(text: str) -> int:
+    """argparse type of ``--jobs`` and ``--retries``: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -1003,12 +1038,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_executor_options(p) -> None:
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
+        p.add_argument("--jobs", type=_count, default=1, metavar="N",
                        help="worker processes (0 = inline, no isolation)")
         p.add_argument("--timeout", type=float, default=None, metavar="SEC",
                        help="per-run wall-clock limit; over-limit workers "
                             "are terminated and the cell marked timeout")
-        p.add_argument("--retries", type=int, default=2, metavar="N",
+        p.add_argument("--retries", type=_count, default=2, metavar="N",
                        help="retry budget for retryable failures")
         p.add_argument("--checkpoint", default=None, metavar="PATH",
                        help="JSONL journal of completed runs")
@@ -1026,20 +1061,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated machine modes (campaign matrix)")
     p_run.add_argument("--scale", default="tiny")
     p_run.add_argument("--events-out", default=None, metavar="PATH",
-                       help="write the telemetry event stream as JSONL")
+                       help="write the telemetry event stream as JSONL "
+                            "(single run only)")
     p_run.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="write a Chrome trace_event JSON (Perfetto)")
+                       help="write a Chrome trace_event JSON (Perfetto; "
+                            "single run only)")
     p_run.add_argument("--stats-out", default=None, metavar="PATH",
-                       help="write a flat JSON metrics snapshot")
+                       help="write a flat JSON metrics snapshot "
+                            "(single run only)")
     p_run.add_argument("--check-invariants", type=int, default=0, metavar="N",
                        help="audit machine invariants every N cycles "
                             "(0 = off; disables idle fast-forward)")
     p_run.add_argument("--follow", action="store_true",
-                       help="live campaign progress: in-place matrix "
-                            "rendering with ETA (enables telemetry)")
+                       help="print one line per cell as it settles: "
+                            "status, attempts, seconds")
     p_run.add_argument("--rollup-out", default=None, metavar="PATH",
-                       help="write the aggregated campaign telemetry "
-                            "rollup JSON (enables telemetry)")
+                       help="write the campaign rollup JSON (cell "
+                            "statuses, throughput, event counts and merged "
+                            "histograms of the cells run here; runs each "
+                            "cell observed)")
     add_executor_options(p_run)
     p_run.set_defaults(func=_cmd_run)
 
@@ -1142,7 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--measure", type=int, default=4000, metavar="N",
                           help="measured instructions per window "
                                "(default 4000)")
-    p_sample.add_argument("--jobs", type=int, default=0, metavar="N",
+    p_sample.add_argument("--jobs", type=_count, default=0, metavar="N",
                           help="worker processes (0 = inline; reports are "
                                "byte-identical either way)")
     p_sample.add_argument("--seed", type=int, default=0,
@@ -1264,7 +1304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--corpus", default=None, metavar="DIR",
                         help="repro-record directory "
                              "(default benchmarks/fuzz/)")
-    p_fuzz.add_argument("--jobs", type=int, default=0, metavar="N",
+    p_fuzz.add_argument("--jobs", type=_count, default=0, metavar="N",
                         help="worker processes (0 = inline)")
     p_fuzz.add_argument("--report", default=None, metavar="PATH",
                         help="write the JSON triage report")

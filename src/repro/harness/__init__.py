@@ -8,6 +8,7 @@ from .bench import (
     run_bench,
     write_report,
 )
+from .campaign import campaign_rollup
 from .executor import (
     CampaignExecutor,
     RunFailure,
@@ -38,6 +39,7 @@ __all__ = [
     "CampaignExecutor",
     "PINNED_RUNS",
     "bench_cell",
+    "campaign_rollup",
     "compare_reports",
     "load_report",
     "run_bench",

@@ -37,7 +37,12 @@ completion *order* differs, and results are returned in spec order.
 Run-lifecycle events (``run_started`` / ``run_finished`` /
 ``run_failed`` / ``run_retried``) are emitted on a
 :class:`~repro.obs.Observation`'s event bus when one is supplied, and
-counted in its metrics registry under ``campaign.*``.
+counted in its metrics registry under ``campaign.*``; a settled cell's
+event carries its wall seconds.  Campaign-wide telemetry is a fold over
+the settled outcomes (:func:`~repro.harness.campaign.campaign_rollup`):
+a task run as ``execute_spec(record, observe=True)`` returns its cell's
+final metrics snapshot on :attr:`RunOutcome.metrics`, so every worker
+attempt sends its parent exactly one message.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
 
 from ..core.stats import SimStats
-from ..obs.aggregate import TelemetryRelay, current_relay, set_current_relay
 
 # Failure taxonomy (see HACKING.md).
 RETRYABLE = "retryable"
@@ -204,6 +208,9 @@ class RunOutcome:
     failure: RunFailure | None = None
     resumed: bool = False             # loaded from a checkpoint journal
     duration: float = 0.0             # wall seconds (not deterministic)
+    # Structured metrics snapshot of an observed cell (``execute_spec``
+    # with ``observe=True``); never journaled, so resumed cells have none.
+    metrics: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -443,70 +450,53 @@ class CheckpointJournal:
 # ======================================================================
 # The worker side (runs in a subprocess; must stay picklable)
 # ======================================================================
-def execute_spec(record: dict) -> dict:
+def execute_spec(record: dict, observe: bool = False) -> dict:
     """Default task: simulate one cell and return its result payload.
 
-    When a telemetry relay is ambient (installed by :func:`_worker_main`
-    or the inline runner), the run is observed with event recording off
-    and the relay streams sampled events + a final metrics snapshot
-    back to the campaign aggregator.
+    With ``observe`` the run carries an ``Observation(record_events=
+    False)``, and the payload gains its final structured metrics
+    snapshot under ``"metrics"``: the standard histograms, the SimStats
+    block (``sim.*``) and per-type event counts (``events.*``).
     """
     from ..obs import Observation
     from .runner import run_workload
 
     spec = RunSpec.from_record(record)
-    relay = current_relay()
-    observe = None
-    if relay is not None:
-        observe = Observation(record_events=False)
-        relay.attach(observe)
+    observation = Observation(record_events=False) if observe else None
     result = run_workload(
         spec.workload,
         spec.mode,
         spec.scale,
         max_cycles=spec.max_cycles,
-        observe=observe,
+        observe=observation,
         check_invariants=spec.check_invariants,
     )
-    if relay is not None:
-        relay.send_snapshot(stats=result.stats, final=True)
-    return {
+    payload = {
         "stats": {name: getattr(result.stats, name) for name in STAT_FIELDS},
         "validated": result.validated,
         "halted": result.halted,
     }
+    if observation is not None:
+        # Publishes sim.* and events.* into the registry first.
+        observation.metrics_snapshot(result.stats)
+        payload["metrics"] = observation.metrics.snapshot()
+    return payload
 
 
-def _worker_main(
-    conn, task, record: dict, telemetry: dict | None = None, inherited=()
-) -> None:
-    """Subprocess entry: run the task, ship ok/err through the pipe.
+def _worker_main(conn, task, record: dict, inherited=()) -> None:
+    """Subprocess entry: run the task, send one ok/err message.
 
     ``inherited`` holds the parent-side pipe ends a forked worker
     copied from the parent — its own and every earlier worker's.  They
     are closed first: while a worker holds a read end, the parent's
-    death never raises EPIPE in the writer, so a worker streaming into
-    a full pipe would block forever.  SIGTERM goes back to its default
-    action, since the parent's drain handler is inherited too and
-    termination must stay termination.
-
-    ``telemetry`` (when campaign telemetry is enabled) carries the
-    relay configuration — ``{"run", "worker", "sample"}`` — and installs
-    a :class:`~repro.obs.aggregate.TelemetryRelay` streaming through
-    the same ``conn`` as interleaved ``("telemetry", envelope)`` tuples.
+    death never raises EPIPE in the writer, so a worker whose result
+    overflows the pipe buffer would block forever.  SIGTERM goes back
+    to its default action, since the parent's drain handler is
+    inherited too and termination must stay termination.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for other in inherited:
         other.close()
-    if telemetry is not None:
-        set_current_relay(
-            TelemetryRelay(
-                conn.send,
-                run=telemetry["run"],
-                worker=telemetry.get("worker", 0),
-                sample=telemetry.get("sample"),
-            )
-        )
     try:
         payload = task(record)
         conn.send(("ok", payload))
@@ -522,7 +512,6 @@ def _worker_main(
             )
         )
     finally:
-        set_current_relay(None)
         conn.close()
 
 
@@ -537,8 +526,18 @@ class _Attempt:
     started: float = 0.0
 
 
-#: What the pool's ``receive`` returns for a worker still running.
-_RUNNING = "running"
+def _ok_outcome(item: _Attempt, payload: dict, duration: float) -> RunOutcome:
+    """The settled outcome of an attempt whose task returned ``payload``."""
+    return RunOutcome(
+        spec=item.spec,
+        status="ok",
+        attempts=item.attempt,
+        stats=payload.get("stats"),
+        validated=payload.get("validated", False),
+        halted=payload.get("halted", False),
+        duration=duration,
+        metrics=payload.get("metrics"),
+    )
 
 
 class CampaignExecutor:
@@ -553,9 +552,11 @@ class CampaignExecutor:
     ``task`` maps a spec record dict to a result payload dict and
     defaults to :func:`execute_spec`; tests inject flaky tasks through
     it (module-level functions only when ``jobs>=1`` — workers pickle
-    the callable).  ``sleep``/``clock`` are injectable for backoff
-    tests.  Retry backoff is exponential with seeded multiplicative
-    jitter (:data:`JITTER`, :data:`JITTER_SEED`).
+    the callable).  A payload's ``"metrics"`` entry lands on
+    :attr:`RunOutcome.metrics` of an ``ok`` cell; a worker sends the
+    payload as its one message.  ``sleep``/``clock`` are injectable
+    for backoff tests.  Retry backoff is exponential with seeded
+    multiplicative jitter (:data:`JITTER`, :data:`JITTER_SEED`).
 
     ``stop`` is a zero-argument drain hook polled between launches:
     once it returns true, no further cell is started, every cell whose
@@ -576,8 +577,6 @@ class CampaignExecutor:
         observation=None,
         sleep=time.sleep,
         clock=time.monotonic,
-        telemetry=None,
-        telemetry_sample: dict | None = None,
         stop=None,
     ):
         if jobs < 0:
@@ -591,13 +590,8 @@ class CampaignExecutor:
         self.backoff_factor = backoff_factor
         self.task = task or execute_spec
         self.observation = observation
-        # Campaign telemetry: a repro.obs.aggregate.TelemetryAggregator
-        # receiving worker relay streams (None = telemetry off).
-        self.telemetry = telemetry
-        self.telemetry_sample = telemetry_sample
         self.stop = stop
         self._jitter_rng = _random.Random(JITTER_SEED)
-        self._worker_counter = 0
         self._sleep = sleep
         self._clock = clock
 
@@ -632,15 +626,9 @@ class CampaignExecutor:
                 outcomes = _journaled_cells(checkpoint, specs)
             journal = CheckpointJournal(checkpoint, fresh=not resume)
 
-        if self.telemetry is not None:
-            self.telemetry.register_specs(specs)
-
-        pending: deque[_Attempt] = deque()
-        for spec in specs:
-            if spec not in outcomes:
-                pending.append(_Attempt(spec))
-            elif self.telemetry is not None:
-                self.telemetry.on_run_settled(outcomes[spec])
+        pending: deque[_Attempt] = deque(
+            _Attempt(spec) for spec in specs if spec not in outcomes
+        )
 
         if pending:
             execute = self._run_inline if self.jobs == 0 else self._run_pool
@@ -669,20 +657,23 @@ class CampaignExecutor:
         outcomes[item.spec] = outcome
         if journal is not None:
             journal.append(outcome)
-        if self.telemetry is not None:
-            self.telemetry.on_run_settled(outcome)
+        seconds = round(outcome.duration, 3)
         if outcome.ok:
             self._emit(
-                "run_finished", item.spec, attempts=outcome.attempts,
+                "run_finished", item.spec,
+                attempts=outcome.attempts, seconds=seconds,
             )
         else:
             self._emit(
                 "run_failed",
                 item.spec,
+                status=outcome.status,
                 kind=outcome.failure.kind,
                 exception=outcome.failure.exception,
                 attempts=outcome.attempts,
+                seconds=seconds,
             )
+
     def _failure(
         self,
         item: _Attempt,
@@ -711,8 +702,6 @@ class CampaignExecutor:
             "run_retried", item.spec,
             attempt=item.attempt, backoff=backoff, delay=delay,
         )
-        if self.telemetry is not None:
-            self.telemetry.on_run_retried(item.spec.key)
         pending.append(
             _Attempt(
                 item.spec,
@@ -732,20 +721,6 @@ class CampaignExecutor:
                 self._sleep(item.ready_at - now)
             self._emit("run_started", item.spec, attempt=item.attempt)
             started = self._clock()
-            relay = None
-            if self.telemetry is not None:
-                aggregator = self.telemetry
-                aggregator.on_run_started(item.spec.key, item.attempt)
-                self._worker_counter += 1
-                # Inline mode short-circuits the pipe: the relay's send
-                # feeds the aggregator directly.
-                relay = TelemetryRelay(
-                    lambda msg: aggregator.ingest(msg[1]),
-                    run=item.spec.key,
-                    worker=self._worker_counter,
-                    sample=self.telemetry_sample,
-                )
-                set_current_relay(relay)
             try:
                 payload = self.task(item.spec.as_record())
             except Exception as exc:  # noqa: BLE001
@@ -771,18 +746,9 @@ class CampaignExecutor:
                     duration=self._clock() - started,
                 )
             else:
-                outcome = RunOutcome(
-                    spec=item.spec,
-                    status="ok",
-                    attempts=item.attempt,
-                    stats=payload.get("stats"),
-                    validated=payload.get("validated", False),
-                    halted=payload.get("halted", False),
-                    duration=self._clock() - started,
+                outcome = _ok_outcome(
+                    item, payload, self._clock() - started
                 )
-            finally:
-                if relay is not None:
-                    set_current_relay(None)
             self._settle(item, outcome, outcomes, journal)
 
     # -- process pool (jobs >= 1) --------------------------------------
@@ -792,20 +758,10 @@ class CampaignExecutor:
 
         def launch(item: _Attempt) -> None:
             parent_conn, child_conn = ctx.Pipe(duplex=False)
-            telemetry = None
-            if self.telemetry is not None:
-                # A fresh worker id per launch gives every attempt its
-                # own sequence-number space in the aggregator.
-                self._worker_counter += 1
-                telemetry = {
-                    "run": item.spec.key,
-                    "worker": self._worker_counter,
-                    "sample": self.telemetry_sample,
-                }
             proc = ctx.Process(
                 target=_worker_main,
                 args=(
-                    child_conn, self.task, item.spec.as_record(), telemetry,
+                    child_conn, self.task, item.spec.as_record(),
                     (parent_conn, *active),
                 ),
                 daemon=True,
@@ -814,25 +770,15 @@ class CampaignExecutor:
             proc.start()
             child_conn.close()
             self._emit("run_started", item.spec, attempt=item.attempt)
-            if self.telemetry is not None:
-                self.telemetry.on_run_started(item.spec.key, item.attempt)
             active[parent_conn] = (proc, item)
 
         def receive(conn):
-            """Forward the worker's queued telemetry; return its result
-            tuple, ``None`` if the pipe closed without one (the worker
-            died), or ``_RUNNING``."""
-            while True:
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    return None
-                if msg[0] != "telemetry":
-                    return msg
-                if self.telemetry is not None:
-                    self.telemetry.ingest(msg[1])
-                if not conn.poll():
-                    return _RUNNING
+            """The worker's one result tuple, or ``None`` if the pipe
+            closed without one (the worker died)."""
+            try:
+                return conn.recv()
+            except (EOFError, OSError):
+                return None
 
         def retire(conn, kill: bool = False):
             proc, item = active.pop(conn)
@@ -846,16 +792,10 @@ class CampaignExecutor:
             proc, item = retire(conn)
             duration = self._clock() - item.started
             if msg is not None and msg[0] == "ok":
-                outcome = RunOutcome(
-                    spec=item.spec,
-                    status="ok",
-                    attempts=item.attempt,
-                    stats=msg[1].get("stats"),
-                    validated=msg[1].get("validated", False),
-                    halted=msg[1].get("halted", False),
-                    duration=duration,
+                self._settle(
+                    item, _ok_outcome(item, msg[1], duration),
+                    outcomes, journal,
                 )
-                self._settle(item, outcome, outcomes, journal)
                 return
             if msg is not None:  # ("err", name, message, tb, retryable, diag)
                 _, name, message, tb, retryable, diag = msg
@@ -915,7 +855,7 @@ class CampaignExecutor:
                 # that died meanwhile stays unsettled too.
                 for conn in _conn_wait(list(active), timeout=0):
                     msg = receive(conn)
-                    if isinstance(msg, tuple):
+                    if msg is not None:
                         reap(conn, msg)
                 for conn in list(active):
                     retire(conn, kill=True)
@@ -953,9 +893,7 @@ class CampaignExecutor:
                 next_ready = min(item.ready_at for item in pending)
                 wait_for = min(wait_for, max(0.0, next_ready - now))
             for conn in _conn_wait(list(active), timeout=wait_for):
-                msg = receive(conn)
-                if msg is not _RUNNING:
-                    reap(conn, msg)
+                reap(conn, receive(conn))
             if self.timeout is not None:
                 now = self._clock()
                 for conn in [

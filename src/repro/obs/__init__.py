@@ -15,13 +15,6 @@ from .export import (
     write_events_jsonl,
     write_metrics_snapshot,
 )
-from .aggregate import (
-    CampaignProgressView,
-    TelemetryAggregator,
-    TelemetryRelay,
-    current_relay,
-    set_current_relay,
-)
 from .hub import DEFAULT_HISTOGRAMS, Observation
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profiler import PipelineProfiler
@@ -47,11 +40,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "CampaignProgressView",
-    "TelemetryAggregator",
-    "TelemetryRelay",
-    "current_relay",
-    "set_current_relay",
     "PipelineProfiler",
     "build_tea_report",
     "render_tea_report",

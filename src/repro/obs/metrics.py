@@ -75,6 +75,20 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
+    def merge(self, other: dict) -> None:
+        """Add another histogram's :meth:`as_dict` into this one,
+        bucket by bucket; the edges must be identical."""
+        if list(other["edges"]) != list(self.edges):
+            raise ValueError(f"histogram {self.name!r}: cannot merge "
+                             f"edges {other['edges']}")
+        self.counts = [a + b for a, b in zip(self.counts, other["counts"])]
+        self.total += other["count"]
+        self.sum += other["sum"]
+        if other["count"]:
+            low, high = other["min"], other["max"]
+            self.min = low if self.min is None else min(self.min, low)
+            self.max = high if self.max is None else max(self.max, high)
+
     @property
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0

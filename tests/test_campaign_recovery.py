@@ -9,8 +9,8 @@ guarantees a campaign store needs:
 * SIGTERM on a process-pool campaign: exit 143 promptly, no worker left
   alive, only settled cells journaled, and ``--resume`` completes to the
   same canonical cells;
-* a SIGKILLed parent never leaves workers behind, even while they
-  stream telemetry into pipes nobody reads;
+* a SIGKILLed parent never leaves workers behind: a worker's one
+  result message fails to send instead of blocking;
 * a record with altered bytes fails its checksum and is re-simulated,
   never returned;
 * campaigns sharing one journal simulate only the cells it lacks.
@@ -196,8 +196,9 @@ class TestSigtermDrain:
 
 class TestOrphanedWorkers:
     def test_workers_exit_after_the_parent_is_sigkilled(self, tmp_path):
-        # --follow streams telemetry through every worker's pipe; once
-        # the parent is gone nobody drains them.
+        # Once the parent is gone nobody reads the workers' pipes; each
+        # worker closed its inherited parent-side ends, so sending its
+        # result raises EPIPE and the worker exits instead of blocking.
         proc = repro_cli(
             "run", "xz,bfs,mcf", "--modes", "baseline,tea",
             "--scale", "tiny", "--jobs", "2", "--follow",

@@ -234,8 +234,9 @@ class TestRunTelemetryFlags:
         assert code == 0
         rollup = json.loads(path.read_text())
         assert rollup["cells"]["ok"] == 1
-        assert rollup["events"]["sampled"] > 0
-        assert "sampling" in rollup["drops"]
+        assert rollup["by_cell"]["bfs/tea"]["status"] == "ok"
+        assert rollup["events"]["emitted"]["branch_resolved"] > 0
+        assert rollup["histograms"]["bfs"]["tea.lead_time"]["count"] > 0
 
     def test_follow_inline_prints_progress(self, tmp_path, capsys):
         code = main([
@@ -244,8 +245,46 @@ class TestRunTelemetryFlags:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "campaign:" in out
-        assert "1/1 done" in out
+        assert "settled bfs/tea: ok, 1 attempt(s), " in out
+
+    def test_single_run_output_flags_reject_a_campaign(self, tmp_path, capsys):
+        events = tmp_path / "e.jsonl"
+        stats = tmp_path / "s.json"
+        code = main([
+            "run", "xz,bfs", "--scale", "tiny",
+            "--events-out", str(events), "--stats-out", str(stats),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--events-out" in err and "--stats-out" in err
+        assert "--trace-out" not in err
+        assert not events.exists() and not stats.exists()
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("argv", [
+        ["sample", "xz", "--jobs", "-1"],
+        ["fuzz", "--seeds", "1", "--jobs", "-1"],
+        ["run", "xz,bfs", "--retries", "-1"],
+        ["run", "xz,bfs", "--jobs", "-1"],
+        ["figure", "fig5", "--jobs", "-1"],
+        ["figure", "fig5", "--retries", "-2"],
+    ])
+    def test_negative_count_is_a_usage_error(self, argv, monkeypatch, capsys):
+        import repro.fuzz
+        import repro.sampling
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated despite a usage error")
+
+        monkeypatch.setattr(repro.sampling, "run_sampled", simulate)
+        monkeypatch.setattr(repro.fuzz, "run_fuzz_campaign", simulate)
+        monkeypatch.setattr("repro.__main__.CampaignExecutor", simulate)
+        monkeypatch.setattr("repro.__main__.ExperimentSuite", simulate)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected an integer >= 0" in capsys.readouterr().err
 
 
 class TestSample:

@@ -1,387 +1,331 @@
-"""Cross-process campaign telemetry: relay, aggregator, progress view.
+"""Campaign telemetry as a fold over settled cells.
 
-Covers the ISSUE 6 tentpole layer 1 plus its satellite: forced-sampling
-drop-counter correctness, out-of-order/duplicate sequence numbers,
-worker crash mid-stream, end-to-end inline and pool campaigns, and the
-``--follow`` progress rendering.
+``repro.harness.campaign_rollup`` folds a campaign's specs and settled
+outcomes into its rollup; ``repro run --follow`` prints one line per
+settled cell from the executor's lifecycle events.  Covers histogram
+merging with percentiles, cell/throughput accounting for inline and
+pool campaigns, crashing and failing cells (which contribute no
+metrics, not even those of a partial observed run), exactness against
+per-cell observed runs, and the ``--follow`` line.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
+from functools import partial
 
 import pytest
 
-from repro.harness import CampaignExecutor, RunSpec
-from repro.obs import (
-    CampaignProgressView,
-    Observation,
-    TelemetryAggregator,
-    TelemetryRelay,
-    current_relay,
-    set_current_relay,
+from repro.__main__ import _print_settled, main
+from repro.harness import (
+    CampaignExecutor,
+    RunOutcome,
+    RunSpec,
+    campaign_rollup,
+    run_workload,
 )
-from repro.obs.aggregate import DEFAULT_SAMPLE_PERIODS
+from repro.harness.executor import execute_spec
+from repro.obs import Histogram, Observation
+
+OBSERVED = partial(execute_spec, observe=True)
+
+#: Rollup fields measured in wall-clock time (not deterministic).
+WALL_CLOCK = {"wall_seconds", "busy_seconds", "cycles_per_sec"}
 
 
-# ======================================================================
-# Relay unit tests
-# ======================================================================
-class _Sink:
-    def __init__(self):
-        self.messages = []
-
-    def send(self, msg):
-        self.messages.append(msg)
-
-
-def test_relay_samples_and_counts_drops():
-    """1-in-N sampling forwards exactly ceil(n/N) and counts the rest."""
-    sink = _Sink()
-    relay = TelemetryRelay(
-        sink.send, run="w/m", sample={"branch_retire": 4}, snapshot_every=10**9
-    )
-    obs = Observation(record_events=False)
-    relay.attach(obs)
-    for i in range(10):
-        obs.bus.emit("branch_retire", pc=64, mispredicted=False)
-    events = [m for m in sink.messages if m[1]["kind"] == "event"]
-    assert len(events) == 3  # indices 0, 4, 8
-    assert relay.dropped == {"branch_retire": 7}
-    relay.send_snapshot()
-    snapshot = sink.messages[-1][1]
-    assert snapshot["kind"] == "snapshot"
-    assert snapshot["payload"]["dropped"] == {"branch_retire": 7}
-    assert snapshot["payload"]["emitted"] == {"branch_retire": 10}
-
-
-def test_relay_unsampled_types_forward_everything():
-    sink = _Sink()
-    relay = TelemetryRelay(sink.send, run="w/m", snapshot_every=10**9)
-    obs = Observation(record_events=False)
-    relay.attach(obs)
-    for _ in range(5):
-        obs.bus.emit("early_flush", penalty=3)
-    events = [m for m in sink.messages if m[1]["kind"] == "event"]
-    assert len(events) == 5
-    assert relay.dropped == {}
-
-
-def test_relay_envelopes_are_tagged_and_sequenced():
-    sink = _Sink()
-    relay = TelemetryRelay(sink.send, run="xz/tea", worker=3)
-    relay.send_snapshot()
-    relay.send_snapshot()
-    envelopes = [m[1] for m in sink.messages]
-    assert [e["seq"] for e in envelopes] == [0, 1]
-    assert all(e["run"] == "xz/tea" and e["worker"] == 3 for e in envelopes)
-    assert all(m[0] == "telemetry" for m in sink.messages)
-
-
-def test_relay_transport_failure_burns_sequence_numbers():
-    """A failed send must surface as a seq gap, never silence."""
-    calls = {"n": 0}
-
-    def flaky_send(msg):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise OSError("pipe gone")
-
-    relay = TelemetryRelay(flaky_send, run="w/m")
-    relay.send_snapshot()      # seq 0, delivered
-    relay.send_snapshot()      # seq 1, raises -> relay marked broken
-    relay.send_snapshot()      # seq 2, skipped (broken)
-    assert relay.transport_failures == 2
-    assert relay._seq == 3
-
-
-def test_relay_periodic_snapshots():
-    sink = _Sink()
-    relay = TelemetryRelay(sink.send, run="w/m", snapshot_every=8)
-    obs = Observation(record_events=False)
-    relay.attach(obs)
-    for _ in range(20):
-        obs.bus.emit("early_flush", penalty=1)
-    kinds = [m[1]["kind"] for m in sink.messages]
-    assert kinds.count("snapshot") == 2
-
-
-def test_ambient_relay_slot():
-    assert current_relay() is None
-    relay = TelemetryRelay(lambda m: None, run="w/m")
-    set_current_relay(relay)
-    try:
-        assert current_relay() is relay
-    finally:
-        set_current_relay(None)
-    assert current_relay() is None
-
-
-# ======================================================================
-# Aggregator unit tests
-# ======================================================================
-def _envelope(seq, kind="event", run="w/m", worker=1, payload=None):
+def _hist(counts, edges=(1, 2, 4)):
     return {
-        "run": run,
-        "worker": worker,
-        "seq": seq,
-        "kind": kind,
-        "payload": payload if payload is not None else {"type": "flush"},
+        "edges": list(edges),
+        "counts": list(counts),
+        "count": sum(counts),
+        "sum": 10,
+        "min": 1,
+        "max": 4,
     }
 
 
-def test_aggregator_detects_transport_gaps():
-    agg = TelemetryAggregator()
-    agg.ingest(_envelope(0))
-    agg.ingest(_envelope(1))
-    agg.ingest(_envelope(5))   # 2, 3, 4 lost in transport
-    assert agg.transport_drops == 3
-    assert agg.sampled_events == 3
+def _outcome(workload, mode, hists=None, gauges=None, **fields):
+    metrics = None
+    if hists is not None or gauges is not None:
+        metrics = {
+            "counters": {},
+            "gauges": gauges or {},
+            "histograms": hists or {},
+        }
+    fields.setdefault("status", "ok")
+    return RunOutcome(
+        spec=RunSpec(workload, mode, "tiny"), metrics=metrics, **fields
+    )
 
 
-def test_aggregator_ignores_duplicates_and_reordering():
-    agg = TelemetryAggregator()
-    agg.ingest(_envelope(0))
-    agg.ingest(_envelope(1))
-    agg.ingest(_envelope(1))   # duplicate
-    agg.ingest(_envelope(0))   # stale reordering
-    assert agg.duplicates == 2
-    assert agg.sampled_events == 2
-    assert agg.transport_drops == 0
+def _without_wall_clock(rollup: dict) -> dict:
+    rollup = json.loads(json.dumps(rollup))
+    for cell in rollup["by_cell"].values():
+        del cell["duration"]
+    for field in WALL_CLOCK:
+        del rollup["throughput"][field]
+    return rollup
 
 
-def test_aggregator_tracks_sources_independently():
-    agg = TelemetryAggregator()
-    agg.ingest(_envelope(0, worker=1))
-    agg.ingest(_envelope(0, worker=2))  # separate seq space, no dup
-    agg.ingest(_envelope(0, run="a/b", worker=1))
-    assert agg.duplicates == 0
-    assert agg.sampled_events == 3
-
-
-def test_aggregator_rollup_merges_histograms_with_percentiles():
-    agg = TelemetryAggregator()
-
-    def snapshot(run, counts):
-        return _envelope(
-            0,
-            kind="snapshot",
-            run=run,
-            payload={
-                "emitted": {},
-                "dropped": {},
-                "metrics": {
-                    "counters": {},
-                    "gauges": {},
-                    "histograms": {
-                        "tea.chain_length": {
-                            "edges": [1, 2, 4],
-                            "counts": counts,
-                            "count": sum(counts),
-                            "sum": 10,
-                            "min": 1,
-                            "max": 4,
-                        }
-                    },
-                },
-            },
-        )
-
+# ======================================================================
+# The fold
+# ======================================================================
+def test_rollup_merges_histograms_with_percentiles():
+    outcomes = [
+        _outcome("xz", "tea", {"tea.chain_length": _hist([1, 2, 3, 0])},
+                 gauges={"events.flush": 4, "sim.ipc": 0.5}),
+        _outcome("xz", "baseline", {"tea.chain_length": _hist([2, 0, 1, 0])},
+                 gauges={"events.flush": 1}),
+        # Only ok cells contribute metrics.
+        _outcome("xz", "runahead", {"tea.chain_length": _hist([5, 5, 5, 5])},
+                 gauges={"events.flush": 7}, status="failed"),
+    ]
+    rollup = campaign_rollup([o.spec for o in outcomes], outcomes, 1.0)
     # Two modes of the same workload merge bucket-wise.
-    agg.ingest(snapshot("xz/tea", [1, 2, 3, 0]))
-    agg.ingest(snapshot("xz/baseline", [2, 0, 1, 0]))
-    rollup = agg.rollup()
     merged = rollup["histograms"]["xz"]["tea.chain_length"]
     assert merged["counts"] == [3, 2, 4, 0]
     assert merged["count"] == 9
+    assert merged["sum"] == 20
+    assert (merged["min"], merged["max"]) == (1, 4)
     assert merged["p50"] is not None and merged["p99"] is not None
+    # Only events.* gauges are event counts.
+    assert rollup["events"] == {"emitted": {"flush": 5}}
 
 
-def test_aggregator_rollup_reports_sampling_drops():
-    agg = TelemetryAggregator()
-    agg.ingest(_envelope(0, kind="snapshot", payload={
-        "emitted": {"branch_retire": 100},
-        "dropped": {"branch_retire": 75},
-    }))
-    rollup = agg.rollup()
-    assert rollup["drops"]["sampling"] == {"branch_retire": 75}
-    assert rollup["drops"]["sampling_total"] == 75
-    assert rollup["events"]["emitted"] == {"branch_retire": 100}
+def test_histogram_merge_rejects_other_edges():
+    hist = Histogram("tea.chain_length", (1, 2, 4))
+    with pytest.raises(ValueError, match="cannot merge"):
+        hist.merge(_hist([1, 1, 1], edges=(1, 2)))
 
 
-def test_aggregator_cell_lifecycle_and_eta():
-    clock = {"t": 0.0}
-    agg = TelemetryAggregator(jobs=2, clock=lambda: clock["t"])
-    specs = [RunSpec("a", "tea"), RunSpec("b", "tea"), RunSpec("c", "tea")]
-    agg.register_specs(specs)
-    assert agg.rollup()["cells"]["pending"] == 3
-    agg.on_run_started("a/tea")
-
-    class Outcome:
-        key = "a/tea"
-        status = "ok"
-        attempts = 1
-        duration = 10.0
-        stats = {"cycles": 1000}
-
-    agg.on_run_settled(Outcome())
-    rollup = agg.rollup()
-    assert rollup["cells"]["ok"] == 1
-    assert rollup["cells"]["pending"] == 2
-    # 2 remaining cells x 10s mean / 2 jobs = 10s.
-    assert rollup["throughput"]["eta_seconds"] == pytest.approx(10.0)
-    assert rollup["throughput"]["simulated_cycles"] == 1000
+def test_rollup_counts_unsettled_cells_as_pending():
+    specs = [RunSpec(w, "tea", "tiny") for w in ("a", "b", "c")]
+    done = _outcome("a", "tea", attempts=2, duration=10.0,
+                    stats={"cycles": 1000})
+    rollup = campaign_rollup(specs, [done], 12.5)
+    assert rollup["cells"] == {
+        "total": 3, "ok": 1, "failed": 0, "timeout": 0,
+        "pending": 2, "retried": 1,
+    }
+    assert rollup["by_cell"]["a/tea"] == {
+        "status": "ok", "attempts": 2, "duration": 10.0,
+    }
+    assert rollup["by_cell"]["b/tea"] == {
+        "status": "pending", "attempts": 0, "duration": 0.0,
+    }
+    assert rollup["throughput"] == {
+        "simulated_cycles": 1000, "wall_seconds": 12.5,
+        "busy_seconds": 10.0, "cycles_per_sec": 100.0,
+    }
 
 
-def test_aggregator_never_raises_on_malformed_input():
-    agg = TelemetryAggregator()
-    agg.ingest("not a dict")
-    agg.ingest({"seq": "NaN", "kind": "event"})
-    agg.ingest({})
-    assert agg.duplicates >= 1  # the non-dict is counted, not raised
+def test_rollup_is_json_serializable():
+    specs = [
+        RunSpec(w, m, "tiny") for w in ("bfs", "xz") for m in ("baseline", "tea")
+    ]
+    outcomes = [_outcome("xz", "tea", {"tea.chain_length": _hist([0, 0, 0, 0])})]
+    json.dumps(campaign_rollup(specs, outcomes, 0.0))
 
 
 # ======================================================================
 # End-to-end campaigns
 # ======================================================================
-def test_inline_campaign_streams_telemetry():
-    agg = TelemetryAggregator()
-    executor = CampaignExecutor(jobs=0, telemetry=agg)
+def test_inline_campaign_rollup():
     specs = [RunSpec("xz", "tea", scale="tiny", max_cycles=200_000)]
-    outcomes = executor.run(specs)
+    outcomes = CampaignExecutor(jobs=0, task=OBSERVED).run(specs)
     assert all(o.ok for o in outcomes)
-    assert current_relay() is None  # inline relay cleared afterwards
-    rollup = agg.rollup()
+    rollup = campaign_rollup(specs, outcomes, 1.0)
     assert rollup["cells"]["ok"] == 1
-    assert rollup["events"]["sampled"] > 0
-    # Exact per-type totals come from the final worker snapshot.
-    assert rollup["events"]["emitted"]["branch_resolved"] > 0
-    assert rollup["drops"]["transport"] == 0
-    assert rollup["drops"]["duplicates"] == 0
-    # Sampling drops are declared, not silent.
-    sampled_types = set(DEFAULT_SAMPLE_PERIODS) & set(
-        rollup["events"]["emitted"]
+    assert rollup["by_cell"]["xz/tea"]["attempts"] == 1
+    assert rollup["throughput"]["simulated_cycles"] == (
+        outcomes[0].stats["cycles"]
     )
-    assert any(t in rollup["drops"]["sampling"] for t in sampled_types)
-    # Histograms made it across with percentiles.
+    assert rollup["events"]["emitted"]["branch_resolved"] > 0
     hists = rollup["histograms"]["xz"]
     assert hists["tea.cycles_saved"]["count"] > 0
     assert "p95" in hists["tea.cycles_saved"]
 
 
-def test_pool_campaign_streams_telemetry():
-    agg = TelemetryAggregator()
-    executor = CampaignExecutor(jobs=2, telemetry=agg)
+def test_pool_campaign_rollup():
     specs = [
         RunSpec("xz", "tea", scale="tiny", max_cycles=200_000),
         RunSpec("xz", "baseline", scale="tiny", max_cycles=200_000),
     ]
-    outcomes = executor.run(specs)
+    outcomes = CampaignExecutor(jobs=2, task=OBSERVED).run(specs)
     assert all(o.ok for o in outcomes)
-    rollup = agg.rollup()
+    rollup = campaign_rollup(specs, outcomes, 1.0)
     assert rollup["cells"] == {
         "total": 2, "ok": 2, "failed": 0, "timeout": 0,
-        "running": 0, "pending": 0, "retried": 0,
+        "pending": 0, "retried": 0,
     }
-    assert rollup["events"]["sampled"] > 0
-    assert rollup["drops"]["transport"] == 0
-    assert rollup["throughput"]["simulated_cycles"] > 0
+    assert set(rollup["by_cell"]) == {"xz/tea", "xz/baseline"}
+    assert rollup["throughput"]["simulated_cycles"] == sum(
+        o.stats["cycles"] for o in outcomes
+    )
+    assert rollup["histograms"]["xz"]["tea.lead_time"]["count"] > 0
 
 
 def _crashing_task(record):
-    """Module-level (picklable) task that dies mid-telemetry-stream."""
-    relay = current_relay()
-    if relay is not None:
-        for i in range(5):
-            relay._post("event", {"type": "flush", "cycle": i})
+    """Module-level (picklable) task whose worker dies outright."""
     os._exit(17)
 
 
-def test_pool_worker_crash_mid_stream():
-    """A worker dying mid-stream must not wedge or corrupt the parent:
-    pre-crash telemetry is kept, the cell retries and finally fails."""
-    agg = TelemetryAggregator()
-    executor = CampaignExecutor(
-        jobs=1, retries=1, backoff=0.0, task=_crashing_task, telemetry=agg
-    )
-    outcomes = executor.run([RunSpec("xz", "tea", scale="tiny")])
+def test_crashing_worker_fails_after_retries():
+    specs = [RunSpec("xz", "tea", scale="tiny")]
+    outcomes = CampaignExecutor(
+        jobs=1, retries=1, backoff=0.0, task=_crashing_task
+    ).run(specs)
     assert outcomes[0].status == "failed"
     assert outcomes[0].failure.exception == "WorkerDied"
     assert outcomes[0].attempts == 2
-    assert agg.sampled_events == 10  # 5 from each attempt
-    rollup = agg.rollup()
+    rollup = campaign_rollup(specs, outcomes, 1.0)
     assert rollup["cells"]["failed"] == 1
     assert rollup["cells"]["retried"] == 1
+    assert rollup["events"]["emitted"] == {}
+    assert rollup["histograms"] == {}
 
 
-def test_pool_each_attempt_gets_fresh_worker_id():
-    agg = TelemetryAggregator()
-    executor = CampaignExecutor(
-        jobs=1, retries=1, backoff=0.0, task=_crashing_task, telemetry=agg
+#: Cycles the failing cell simulates under observation before it dies;
+#: enough for thousands of events and TEA histogram samples.
+PARTIAL_CYCLES = 5000
+OK_SPEC = RunSpec("xz", "tea", scale="tiny")
+FAILING_SPEC = RunSpec("xz", "tea_dedicated", scale="tiny")
+
+
+def _partial_then_fatal_task(record):
+    """Module-level (picklable): the failing cell runs an observed
+    simulation for a few thousand cycles, then raises a fatal error."""
+    if record["mode"] == FAILING_SPEC.mode:
+        run_workload(
+            record["workload"], record["mode"], record["scale"],
+            max_cycles=PARTIAL_CYCLES,
+            observe=Observation(record_events=False),
+        )
+        raise RuntimeError("fatal error after a partial observed run")
+    return OBSERVED(record)
+
+
+@pytest.fixture(scope="module")
+def ok_cell_rollup():
+    outcomes = CampaignExecutor(jobs=0, task=OBSERVED).run([OK_SPEC])
+    assert outcomes[0].ok
+    return campaign_rollup([OK_SPEC], outcomes, 1.0)
+
+
+@pytest.mark.parametrize("jobs", [0, 2])
+def test_failed_cell_contributes_no_metrics(jobs, ok_cell_rollup):
+    # The partial run is not empty: had any of it leaked into the
+    # rollup, the xz histograms would differ.
+    partial_run = run_workload(
+        FAILING_SPEC.workload, FAILING_SPEC.mode, "tiny",
+        max_cycles=PARTIAL_CYCLES, observe=Observation(record_events=False),
     )
-    executor.run([RunSpec("xz", "tea", scale="tiny")])
-    # Two attempts -> two (run, worker) sources, no false duplicates.
-    assert len(agg._last_seq) == 2
-    assert agg.duplicates == 0
+    assert partial_run.observation.metrics.histogram("tea.lead_time").total
+    assert sum(partial_run.observation.bus.counts.values()) > 2048
+
+    specs = [OK_SPEC, FAILING_SPEC]
+    outcomes = CampaignExecutor(
+        jobs=jobs, task=_partial_then_fatal_task
+    ).run(specs)
+    assert [o.status for o in outcomes] == ["ok", "failed"]
+    assert outcomes[1].failure.kind == "fatal"
+    rollup = campaign_rollup(specs, outcomes, 1.0)
+    assert rollup["histograms"] == ok_cell_rollup["histograms"]
+    assert rollup["events"] == ok_cell_rollup["events"]
 
 
 # ======================================================================
-# Progress view
+# The CLI rollup is exact and independent of --jobs
 # ======================================================================
-def _specs_matrix():
-    return [
-        RunSpec(w, m, scale="tiny")
-        for w in ("bfs", "xz")
-        for m in ("baseline", "tea")
-    ]
+MATRIX = ("bfs", "xz"), ("baseline", "tea")
 
 
-def test_progress_view_non_tty_prints_status_lines():
-    stream = io.StringIO()
-    specs = _specs_matrix()
-    view = CampaignProgressView(specs, stream=stream, min_interval=0.0)
-    agg = TelemetryAggregator(on_update=view.render)
-    agg.register_specs(specs)
-    agg.on_run_started("bfs/baseline")
-
-    class Outcome:
-        key = "bfs/baseline"
-        status = "ok"
-        attempts = 1
-        duration = 1.0
-        stats = {"cycles": 10}
-
-    agg.on_run_settled(Outcome())
-    view.finish(agg)
-    out = stream.getvalue()
-    assert "campaign:" in out
-    assert "1/4 done" in out
-    assert "ok=1" in out
+@pytest.fixture(scope="module")
+def cli_rollups(tmp_path_factory):
+    rollups = {}
+    for jobs in (0, 2):
+        path = tmp_path_factory.mktemp("rollup") / f"jobs{jobs}.json"
+        code = main([
+            "run", ",".join(MATRIX[0]), "--modes", ",".join(MATRIX[1]),
+            "--scale", "tiny", "--jobs", str(jobs),
+            "--rollup-out", str(path),
+        ])
+        assert code == 0
+        rollups[jobs] = json.loads(path.read_text())
+    return rollups
 
 
-def test_progress_view_tty_renders_matrix_in_place():
-    class Tty(io.StringIO):
-        def isatty(self):
-            return True
-
-    stream = Tty()
-    specs = _specs_matrix()
-    view = CampaignProgressView(specs, stream=stream, min_interval=0.0)
-    agg = TelemetryAggregator()
-    agg.register_specs(specs)
-    view.render(agg, force=True)
-    out = stream.getvalue()
-    assert "bfs" in out and "xz" in out
-    assert "baseline" in out and "tea" in out
-    view.render(agg, force=True)
-    # Second render rewinds with cursor-up and erases lines.
-    assert "\x1b[" in stream.getvalue()
+def test_rollup_is_identical_inline_and_in_the_pool(cli_rollups):
+    inline, pool = cli_rollups[0], cli_rollups[2]
+    assert inline["cells"]["ok"] == 4
+    assert _without_wall_clock(inline) == _without_wall_clock(pool)
 
 
-def test_rollup_is_json_serializable():
-    agg = TelemetryAggregator()
-    agg.register_specs(_specs_matrix())
-    agg.ingest(_envelope(0))
-    json.dumps(agg.rollup())
+def test_rollup_equals_the_per_cell_sum(cli_rollups):
+    emitted: dict[str, int] = {}
+    expected: dict[str, dict[str, dict]] = {}
+    for workload in MATRIX[0]:
+        for mode in MATRIX[1]:
+            obs = run_workload(
+                workload, mode, "tiny",
+                observe=Observation(record_events=False),
+            ).observation
+            for type_, count in obs.bus.counts.items():
+                emitted[type_] = emitted.get(type_, 0) + count
+            for name, hist in obs.metrics.snapshot()["histograms"].items():
+                into = expected.setdefault(workload, {}).setdefault(
+                    name,
+                    {"edges": hist["edges"], "counts": [0] * len(hist["counts"]),
+                     "count": 0, "sum": 0, "min": [], "max": []},
+                )
+                into["counts"] = [
+                    a + b for a, b in zip(into["counts"], hist["counts"])
+                ]
+                into["count"] += hist["count"]
+                into["sum"] += hist["sum"]
+                for field in ("min", "max"):
+                    if hist[field] is not None:
+                        into[field].append(hist[field])
+    for hists in expected.values():
+        for into in hists.values():
+            into["min"] = min(into["min"], default=None)
+            into["max"] = max(into["max"], default=None)
+    for rollup in cli_rollups.values():
+        assert rollup["events"]["emitted"] == emitted
+        got = {
+            workload: {
+                name: {field: hist[field] for field in
+                       ("edges", "counts", "count", "sum", "min", "max")}
+                for name, hist in hists.items()
+            }
+            for workload, hists in rollup["histograms"].items()
+        }
+        assert got == expected
+    # The timeliness distribution is in there, not just empty shells.
+    assert cli_rollups[0]["histograms"]["bfs"]["tea.lead_time"]["count"] > 0
+
+
+# ======================================================================
+# --follow
+# ======================================================================
+def _ok_or_fatal_task(record):
+    if record["workload"] == "beta":
+        raise RuntimeError("deterministic model failure")
+    return {"stats": {"cycles": 100}, "validated": True, "halted": True}
+
+
+def test_follow_prints_a_line_per_settled_cell(capsys):
+    obs = Observation()
+    obs.bus.subscribe(_print_settled, ("run_finished", "run_failed"))
+    specs = [RunSpec("alpha", "baseline"), RunSpec("beta", "baseline")]
+    CampaignExecutor(jobs=0, task=_ok_or_fatal_task, observation=obs).run(
+        specs
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("settled alpha/baseline: ok, 1 attempt(s), ")
+    assert lines[1].startswith(
+        "settled beta/baseline: failed, 1 attempt(s), "
+    )
+    assert all(line.endswith("s") for line in lines)
