@@ -2,10 +2,11 @@
 
 Commands
 --------
-``run``      simulate workloads (one run, or a fault-tolerant campaign;
-             ``--follow`` prints each cell as it settles, ``--rollup-out``
-             writes the campaign's telemetry rollup)
-``compare``  simulate one workload under several modes side by side
+``run``      simulate workloads (one run, or a fault-tolerant campaign
+             whose table compares each workload's modes: IPC, MPKI,
+             speedup over its baseline; ``--follow`` prints each cell
+             as it settles, ``--rollup-out`` writes the campaign's
+             telemetry rollup)
 ``stats``    run with full telemetry and print the observability report
              (or summarize a saved ``--events`` JSONL dump)
 ``profile``  self-profile the cycle kernel: per-stage wall-clock
@@ -22,8 +23,9 @@ Commands
              with confidence intervals (``--validate`` gates the
              sampled-vs-full error on the pinned matrix)
 ``lint``     statically lint workload programs (or an assembly file)
-``slice``    static backward slices per branch; ``--oracle`` scores the
-             dynamic Backward Dataflow Walk against them
+``chains``   static precomputation chains per branch (members, masks,
+             classification, allow mask); ``--oracle`` judges every
+             dynamic Backward Dataflow Walk against its static chain
 ``inject``   seeded microarchitectural fault-injection campaign
              (repro.verify); exit 1 if any TEA-side fault corrupts
              architectural state or a corruption lacks attribution
@@ -38,8 +40,8 @@ Examples::
     python -m repro lint --all
     python -m repro lint mcf,xz --scale tiny
     python -m repro lint --source examples/kernel.s
-    python -m repro slice bfs
-    python -m repro slice bfs --oracle --out ORACLE_slice.json
+    python -m repro chains bfs --json
+    python -m repro chains bfs,mcf,xz --oracle --out CHAINS_oracle.json
     python -m repro bench --out BENCH_pipeline.json
     python -m repro bench --check
     python -m repro bench --compare benchmarks/perf/baseline.json
@@ -62,7 +64,7 @@ Examples::
     python -m repro profile xz --mode tea --out PROFILE_xz.json
     python -m repro profile xz --mode tea --gate
     python -m repro report bfs,mcf,xz --mode tea --out TEA_report.json
-    python -m repro compare mcf --modes baseline,tea,runahead
+    python -m repro run mcf --modes baseline,tea,runahead
     python -m repro figure fig8 --workloads bfs,mcf,xz --scale tiny
     python -m repro figure fig5 --scale tiny --jobs 4 --resume \\
         --checkpoint fig5.jsonl
@@ -160,13 +162,28 @@ def _run_campaign(executor, specs, args) -> tuple[list, bool]:
 
 def _print_campaign(outcomes) -> None:
     summary = summarize_outcomes(outcomes)
-    print(f"{'run':28s}{'status':>10s}{'IPC':>8s}{'att':>5s}{'res':>5s}")
+    # Outcomes come in spec order, so a workload's first cell is its
+    # first mode; speedup is over its baseline cell, else that one.
+    base = {}
     for outcome in outcomes:
-        ipc = f"{outcome.sim_stats().ipc:.3f}" if outcome.ok else "-"
+        workload = outcome.spec.workload
+        if workload not in base or outcome.spec.mode == "baseline":
+            base[workload] = outcome
+    print(f"{'run':28s}{'status':>10s}{'IPC':>8s}{'MPKI':>8s}"
+          f"{'speedup':>10s}{'att':>5s}{'res':>5s}")
+    for outcome in outcomes:
+        ipc = mpki = speedup = "-"
+        if outcome.ok:
+            stats = outcome.sim_stats()
+            ipc, mpki = f"{stats.ipc:.3f}", f"{stats.mpki:.1f}"
+            ref = base[outcome.spec.workload]
+            if ref.ok:
+                pct = speedup_percent(stats.ipc, ref.sim_stats().ipc)
+                speedup = f"{pct:+.1f}%"
         resumed = "yes" if outcome.resumed else ""
         print(
-            f"{outcome.key:28s}{outcome.status:>10s}{ipc:>8s}"
-            f"{outcome.attempts:>5d}{resumed:>5s}"
+            f"{outcome.key:28s}{outcome.status:>10s}{ipc:>8s}{mpki:>8s}"
+            f"{speedup:>10s}{outcome.attempts:>5d}{resumed:>5s}"
         )
     print(
         f"\n{summary['ok']}/{summary['total']} ok, "
@@ -193,6 +210,10 @@ def _print_settled(event) -> None:
 def _cmd_run(args) -> int:
     workloads = args.workload.split(",")
     modes = args.modes.split(",") if args.modes else [args.mode]
+    for mode in modes:
+        if mode not in MODES:
+            print(f"unknown mode {mode!r}", file=sys.stderr)
+            return 2
     campaign = (
         len(workloads) > 1
         or len(modes) > 1
@@ -223,10 +244,6 @@ def _cmd_run(args) -> int:
         if args.resume and not args.checkpoint:
             print("--resume requires --checkpoint PATH", file=sys.stderr)
             return 2
-        for mode in modes:
-            if mode not in MODES:
-                print(f"unknown mode {mode!r}", file=sys.stderr)
-                return 2
         specs = [
             RunSpec(
                 workload=w,
@@ -262,15 +279,16 @@ def _cmd_run(args) -> int:
                   f"rerun with --resume")
             return 128 + signal.SIGTERM
         return 0 if all(o.ok for o in outcomes) else 1
+    [mode] = modes
     observe = bool(args.events_out or args.trace_out or args.stats_out)
     result = run_workload(
         args.workload,
-        args.mode,
+        mode,
         args.scale,
         observe=observe,
         check_invariants=args.check_invariants,
     )
-    print(f"{args.workload} under {args.mode} ({args.scale} scale):")
+    print(f"{args.workload} under {mode} ({args.scale} scale):")
     _print_stats(result)
     obs = result.observation
     if obs is not None:
@@ -464,23 +482,6 @@ def _cmd_report(args) -> int:
         print(f"RECONCILIATION MISMATCH: {workload} attribution vs SimStats",
               file=sys.stderr)
     return 1 if mismatched else 0
-
-
-def _cmd_compare(args) -> int:
-    modes = args.modes.split(",")
-    results = {}
-    for mode in modes:
-        print(f"simulating {mode} ...", file=sys.stderr)
-        results[mode] = run_workload(args.workload, mode, args.scale)
-    base_ipc = results.get("baseline")
-    base_ipc = base_ipc.ipc if base_ipc else results[modes[0]].ipc
-    print(f"\n{args.workload} ({args.scale} scale):")
-    print(f"{'mode':20s}{'IPC':>8s}{'MPKI':>8s}{'speedup':>10s}")
-    for mode in modes:
-        stats = results[mode].stats
-        pct = speedup_percent(stats.ipc, base_ipc)
-        print(f"{mode:20s}{stats.ipc:8.3f}{stats.mpki:8.1f}{pct:+9.1f}%")
-    return 0
 
 
 def _cmd_figure(args) -> int:
@@ -742,62 +743,6 @@ def _cmd_lint(args) -> int:
     return 1 if total_errors else 0
 
 
-def _cmd_slice(args) -> int:
-    from .analysis import slice_program
-    from .analysis.oracle import render_report, run_slice_oracle
-    from .workloads import make_workload
-
-    if args.oracle:
-        report = run_slice_oracle(args.workload, args.scale, args.mode)
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-            print(f"wrote oracle report to {args.out}", file=sys.stderr)
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(render_report(report))
-        return 0
-
-    slices = slice_program(make_workload(args.workload, args.scale).program)
-    wanted = None
-    if args.branch is not None:
-        pc = int(args.branch, 0)
-        if slices.slice_at(pc) is None:
-            print(f"no conditional branch at {pc:#x}", file=sys.stderr)
-            return 2
-        wanted = [pc]
-    if args.json:
-        payload = {
-            f"{pc:#x}": {
-                "line": sl.line,
-                "size": sl.size,
-                "pcs": sorted(sl.pcs),
-                "masks": {f"{s:#x}": m for s, m in sorted(sl.masks.items())},
-                "has_indirect": sl.has_indirect,
-                "through_memory": sl.through_memory,
-            }
-            for pc, sl in sorted(slices.branches.items())
-            if wanted is None or pc in wanted
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(f"{args.workload} ({args.scale} scale): "
-          f"{len(slices.branches)} conditional branches")
-    print(f"{'branch':>10s} {'line':>5s} {'size':>5s} {'blocks':>7s}  flags")
-    for pc, sl in sorted(slices.branches.items()):
-        if wanted is not None and pc not in wanted:
-            continue
-        flags = []
-        if sl.has_indirect:
-            flags.append("indirect")
-        if sl.through_memory:
-            flags.append("mem")
-        print(f"{pc:>#10x} {str(sl.line or '-'):>5s} {sl.size:>5d} "
-              f"{len(sl.masks):>7d}  {','.join(flags) or '-'}")
-    return 0
-
-
 def _cmd_chains(args) -> int:
     from .analysis.chains import (
         analyze_chains,
@@ -805,6 +750,7 @@ def _cmd_chains(args) -> int:
         render_chain_report,
         run_chain_oracle,
     )
+    from .harness import make_config
     from .workloads import make_workload
 
     # ``fuzz`` / ``fuzz/*`` folds every corpus repro record into the
@@ -826,6 +772,10 @@ def _cmd_chains(args) -> int:
 
     if args.mask and not args.oracle:
         print("chains: --mask requires --oracle", file=sys.stderr)
+        return 2
+    if args.oracle and make_config(args.mode).tea is None:
+        print(f"chains: --oracle observes the TEA thread; mode "
+              f"{args.mode!r} has none", file=sys.stderr)
         return 2
     if args.mask_out and len(expanded) != 1:
         print("chains: --mask-out wants exactly one workload",
@@ -1129,12 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the report JSON instead of the table")
     p_rep.set_defaults(func=_cmd_report)
 
-    p_cmp = sub.add_parser("compare", help="compare machine modes")
-    p_cmp.add_argument("workload")
-    p_cmp.add_argument("--modes", default="baseline,tea,runahead")
-    p_cmp.add_argument("--scale", default="tiny")
-    p_cmp.set_defaults(func=_cmd_compare)
-
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")
     p_fig.add_argument("name")
     p_fig.add_argument("--workloads", default=None,
@@ -1209,25 +1153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--json", action="store_true",
                         help="emit findings as JSON")
     p_lint.set_defaults(func=_cmd_lint)
-
-    p_slice = sub.add_parser(
-        "slice", help="static backward slices of conditional branches"
-    )
-    p_slice.add_argument("workload")
-    p_slice.add_argument("--scale", default="tiny")
-    p_slice.add_argument("--branch", default=None, metavar="PC",
-                         help="show only the slice of this branch PC "
-                              "(accepts 0x hex)")
-    p_slice.add_argument("--oracle", action="store_true",
-                         help="run a TEA simulation and score the dynamic "
-                              "Backward Dataflow Walk against the slices")
-    p_slice.add_argument("--mode", default="tea", choices=MODES,
-                         help="machine mode for --oracle (must have TEA)")
-    p_slice.add_argument("--json", action="store_true",
-                         help="emit slices / oracle report as JSON")
-    p_slice.add_argument("--out", default=None, metavar="PATH",
-                         help="with --oracle: also write the JSON report")
-    p_slice.set_defaults(func=_cmd_slice)
 
     p_chains = sub.add_parser(
         "chains", help="static precomputation chains: classification, "

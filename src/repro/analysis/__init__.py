@@ -10,25 +10,21 @@ discovers dynamically at run time:
 * :mod:`repro.analysis.dataflow` — iterative dataflow to fixpoint:
   reaching definitions, liveness, per-use def-use chains, and a
   conservative may-alias treatment of memory ops keyed on
-  base-register + offset.
-* :mod:`repro.analysis.slicer` — static backward slices from each
-  conditional branch, producing per-branch chain instruction sets and
-  per-block bit-masks in exactly the shape the TEA Block Cache uses.
+  base-register + offset (comparable only within one basic block
+  while the base register keeps its value).
 * :mod:`repro.analysis.lint` — a workload linter (undefined-register
   reads, unreachable blocks, fall-through off the end of the image,
   dead stores, self-jump infinite loops); every registered workload
   must be lint-clean (``repro lint --all``).
-* :mod:`repro.analysis.oracle` — scores the dynamic Backward Dataflow
-  Walk's chain membership against the static slices, per H2P branch
-  (precision/recall, emitted through the obs bus and ``repro slice
-  --oracle``).
-* :mod:`repro.analysis.chains` — static precomputation chains per
-  conditional branch (live-ins, depth, latency), a three-way branch
-  classification (trivially-predictable / chainable / unchainable)
-  exported as a ``TeaConfig.branch_mask`` allow mask, a per-chain
-  runtime soundness oracle over the ``walk_done`` firehose, and a
-  static timeliness cost model reconciled against measured lead times
-  (``repro chains``).
+* :mod:`repro.analysis.chains` — the one static-chain tool: each
+  conditional branch's backward slice as a static chain (PCs and
+  per-block bit-masks in the TEA Block Cache's shape, live-ins, depth,
+  latency), a three-way branch classification (trivially-predictable /
+  chainable / unchainable) exported as a ``TeaConfig.branch_mask``
+  allow mask, the runtime oracle that judges every dynamic Backward
+  Dataflow Walk against its static chain (soundness findings and
+  recall, over the ``walk_done`` firehose), and a static timeliness
+  cost model reconciled against measured lead times (``repro chains``).
 * :mod:`repro.analysis.arch_lint` — AST-based architecture-layering
   lint over the Python source tree itself (import DAG
   ``isa -> core/frontend -> tea -> harness/obs -> __main__``).
@@ -44,7 +40,6 @@ from .chains import (
 )
 from .dataflow import DataflowResult, MemLoc, analyze_dataflow
 from .lint import Finding, LintReport, lint_program
-from .slicer import BranchSlice, ProgramSlices, slice_program
 
 __all__ = [
     "CFG",
@@ -55,9 +50,6 @@ __all__ = [
     "Finding",
     "LintReport",
     "lint_program",
-    "BranchSlice",
-    "ProgramSlices",
-    "slice_program",
     "ChainBudgets",
     "ChainUnsound",
     "ProgramChains",

@@ -10,9 +10,9 @@ This module checks that property statically with :mod:`ast`: it parses
 every file under ``src/repro``, collects the **module-level** imports
 (function-level lazy imports are exempt — they are the sanctioned
 escape hatch for intentional inversions, e.g. the pipeline
-constructing its TEA controller or ``repro.analysis.oracle`` driving
-the harness), resolves relative imports, and reports any edge that
-points sideways or upward.
+constructing its TEA controller or ``repro.analysis.chains`` driving
+the harness for its runtime oracle), resolves relative imports, and
+reports any edge that points sideways or upward.
 
 Run it as a module (CI does)::
 

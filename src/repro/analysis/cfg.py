@@ -1,7 +1,7 @@
 """Control-flow graph construction over an assembled program.
 
 Nodes are the program's existing :class:`~repro.isa.program.BasicBlock`
-records (the same blocks that tag TEA Block Cache entries, so slicer
+records (the same blocks that tag TEA Block Cache entries, so static-chain
 bit-masks line up bit-for-bit with the dynamic masks).  Edges come from
 the block terminator:
 

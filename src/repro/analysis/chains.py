@@ -2,12 +2,17 @@
 
 TEA discovers the dataflow chain feeding each H2P branch *dynamically*
 (Fill Buffer sampling + Backward Dataflow Walk).  This module builds
-the same chains *statically* on top of the PR 4 CFG/dataflow/slicer and
-uses them three ways:
+the same chains *statically* on top of the CFG and dataflow analyses,
+and is the one place that decides what a branch's static chain is and
+how a dynamic walk is judged against it.  It uses the chains three
+ways:
 
-1. **Chain construction** — every conditional branch's backward slice
-   is condensed into a :class:`StaticChain`: the chain uop set and
-   Block Cache-shaped masks, live-in registers and memory locations,
+1. **Chain construction** — every reachable conditional branch's
+   backward slice (the transitive closure over register and memory
+   def-use) becomes a :class:`StaticChain`: the chain uop set and
+   Block Cache-shaped masks (bit ``k`` of a block's mask set means
+   instruction ``k`` of the block is in the chain, the shape the TEA
+   Block Cache stores), live-in registers and memory locations,
    the maximum dataflow depth (longest path over the SCC-condensed
    dependence graph, so loop-carried induction cycles are handled),
    and a critical-path latency from the ISA class latencies.
@@ -27,7 +32,10 @@ uses them three ways:
    window truncates chains), and the dynamic dataflow depth must stay
    within the static bound.  Violations are structured
    :class:`ChainUnsound` findings (``chain_unsound`` events, CI-gated
-   to zero on the pinned matrix).
+   to zero on every registered workload).  Each checked branch also
+   reports its recall: the share of the static chain's PCs its
+   attributed walks marked (low values just mean the Fill Buffer
+   window is smaller than the whole chain).
 
 A **timeliness cost model** scores each loop branch statically: the
 shadow frontend sees the next iteration roughly one loop of fetch
@@ -44,16 +52,21 @@ from heapq import heappop, heappush
 from typing import Any, Iterable
 
 from ..isa import REG_ZERO
-from ..isa.instructions import CLASS_LATENCY, Instruction
+from ..isa.instructions import CLASS_LATENCY, INSTRUCTION_BYTES, Instruction
 from ..isa.program import Program
 from ..isa.registers import NUM_ARCH_REGS
-from ..obs.events import EventBus
+from ..obs.events import Event, EventBus
 from ..tea.config import TeaConfig
 from ..tea.fill_buffer import FillEntry, backward_dataflow_walk
 from .cfg import CFG
-from .dataflow import DataflowResult, MemLoc, mem_loc, reg_def, reg_uses
-from .oracle import WalkCapture
-from .slicer import ProgramSlices, slice_program
+from .dataflow import (
+    DataflowResult,
+    MemLoc,
+    analyze_dataflow,
+    mem_loc,
+    reg_def,
+    reg_uses,
+)
 
 CLASS_TRIVIAL = "trivially-predictable"
 CLASS_CHAINABLE = "chainable"
@@ -452,7 +465,8 @@ class StaticChain:
     line: int | None
     #: Chain membership (the branch's backward slice, branch included).
     pcs: frozenset[int]
-    #: Block Cache-shaped masks (block start -> instruction bit-mask).
+    #: Block Cache-shaped masks: block start PC -> bit-mask over the
+    #: block's instructions (bit k = instruction k is in the chain).
     masks: dict[int, int] = field(compare=False)
     #: Dependence edges inside the chain: producer PC -> consumer PCs.
     edges: dict[int, tuple[int, ...]] = field(compare=False)
@@ -476,7 +490,11 @@ class StaticChain:
     #: Registers updated by a simple induction (an ``addi``/``subi``
     #: self-cycle in the chain's dependence graph).
     induction_regs: frozenset[int]
+    #: The chain crosses indirect control flow (a block ending in
+    #: ``jr``/``callr``, or a conservative indirect target): its CFG
+    #: edges, and therefore the chain, are approximate.
     has_indirect: bool
+    #: At least one dependence flows through memory.
     through_memory: bool
     #: Interval analysis proved the branch always/never taken.
     one_sided: bool
@@ -502,6 +520,7 @@ class StaticChain:
             "pc": self.branch_pc,
             "line": self.line,
             "size": self.size,
+            "pcs": sorted(self.pcs),
             "depth": self.depth,
             "load_depth": self.load_depth,
             "latency": self.latency,
@@ -530,7 +549,6 @@ class ProgramChains:
     program: Program
     cfg: CFG
     dataflow: DataflowResult
-    slices: ProgramSlices
     budgets: ChainBudgets
     chains: dict[int, StaticChain]
 
@@ -629,37 +647,59 @@ def analyze_chains(
     program: Program,
     config: TeaConfig | None = None,
     budgets: ChainBudgets | None = None,
-    slices: ProgramSlices | None = None,
 ) -> ProgramChains:
-    """Build and classify the static chain of every conditional branch."""
+    """Build and classify the static chain of every reachable
+    conditional branch."""
     cfg_tea = config or TeaConfig()
     budgets = budgets or ChainBudgets()
-    slices = slices or slice_program(program)
-    df = slices.dataflow
-    cfg = slices.cfg
+    df = analyze_dataflow(program)
+    cfg = df.cfg
     instrs = program.instructions
+    reachable_pcs = {
+        pc for start in cfg.reachable for pc in cfg.blocks[start].pcs()
+    }
     envs_by_branch = _branch_environments(cfg)
 
     chains: dict[int, StaticChain] = {}
     loop_cache: dict[int, int | None] = {}
-    for branch_pc, sl in slices.branches.items():
-        branch_i = df.index_of[branch_pc]
-        branch = instrs[branch_i]
-        members = sorted(df.index_of[pc] for pc in sl.pcs)
-        member_set = set(members)
+    for branch_i, branch in enumerate(instrs):
+        if not (branch.is_conditional and branch.pc in reachable_pcs):
+            continue
+        branch_pc = branch.pc
 
-        # Dependence edges (producer -> consumer) inside the slice.
-        edges: dict[int, list[int]] = {}
-        for i in members:
-            for defs in df.ud[i].values():
-                for d in defs:
-                    if d in member_set:
-                        edges.setdefault(d, []).append(i)
-            for s in df.mem_ud.get(i, ()):
-                if s in member_set:
-                    edges.setdefault(s, []).append(i)
-        for producer in edges:
-            edges[producer] = sorted(set(edges[producer]))
+        # Backward closure over register + memory def-use from the
+        # branch; every producer of a member is a member, so the
+        # producer -> consumer edges fall out of the same pass.
+        member_set = {branch_i}
+        work = [branch_i]
+        consumers: dict[int, set[int]] = {}
+        through_memory = False
+        while work:
+            i = work.pop()
+            producers = [d for defs in df.ud[i].values() for d in defs]
+            stores = df.mem_ud.get(i, ())
+            if stores:
+                through_memory = True
+                producers.extend(stores)
+            for producer in producers:
+                consumers.setdefault(producer, set()).add(i)
+                if producer not in member_set:
+                    member_set.add(producer)
+                    work.append(producer)
+        members = sorted(member_set)
+        edges = {p: sorted(c) for p, c in sorted(consumers.items())}
+
+        pcs = frozenset(instrs[i].pc for i in members)
+        masks: dict[int, int] = {}
+        has_indirect = False
+        for pc in pcs:
+            block = program.block_containing(pc)
+            assert block is not None
+            start = block.start_pc
+            offset = (pc - start) // INSTRUCTION_BYTES
+            masks[start] = masks.get(start, 0) | (1 << offset)
+            if start in cfg.indirect_blocks or start in cfg.indirect_targets:
+                has_indirect = True
 
         ones = {i: 1 for i in members}
         load_w = {i: (1 if instrs[i].is_load else 0) for i in members}
@@ -738,7 +778,7 @@ def analyze_chains(
             lead_estimate = available - latency
             timely = lead_estimate > 0
 
-        if sl.has_indirect:
+        if has_indirect:
             classification, reason = (
                 CLASS_UNCHAINABLE,
                 "slice crosses indirect control flow",
@@ -773,14 +813,14 @@ def analyze_chains(
             classification, reason = CLASS_CHAINABLE, "slice closes within budgets"
 
         pc_edges = {
-            instrs[p].pc: tuple(instrs[c].pc for c in consumers)
-            for p, consumers in edges.items()
+            instrs[p].pc: tuple(instrs[c].pc for c in cs)
+            for p, cs in edges.items()
         }
         chains[branch_pc] = StaticChain(
             branch_pc=branch_pc,
             line=branch.line,
-            pcs=sl.pcs,
-            masks=dict(sl.masks),
+            pcs=pcs,
+            masks=masks,
             edges=pc_edges,
             live_in_regs=frozenset(live_in),
             written_regs=frozenset(written),
@@ -789,8 +829,8 @@ def analyze_chains(
             load_depth=load_depth,
             latency=latency,
             induction_regs=frozenset(induction),
-            has_indirect=sl.has_indirect,
-            through_memory=sl.through_memory,
+            has_indirect=has_indirect,
+            through_memory=through_memory,
             one_sided=one_sided,
             trip_count=trip_count,
             loop_length=loop_length,
@@ -803,7 +843,6 @@ def analyze_chains(
         program=program,
         cfg=cfg,
         dataflow=df,
-        slices=slices,
         budgets=budgets,
         chains=chains,
     )
@@ -900,21 +939,25 @@ def check_chain(
 
 def verify_walks(
     chains: ProgramChains,
-    walks: Iterable[tuple[list[FillEntry], Any]],
+    walks: Iterable[list[FillEntry]],
     config: TeaConfig,
     bus: EventBus | None = None,
 ) -> dict[str, Any]:
-    """Replay every walk per initiating branch and verify soundness.
+    """Replay every walk (its Fill Buffer entries) per initiating
+    branch and verify soundness.
 
     Walks initiated by branches without a static chain (indirect
     branches — ``ret``/``jr`` are H2P-eligible but not conditional)
-    are counted as skipped, not unsound.
+    are counted as skipped, not unsound.  Each checked branch gets a
+    record with its attributed walks, findings and recall (the share
+    of its static chain's PCs those walks marked).
     """
     findings: list[ChainUnsound] = []
     checked: dict[int, int] = {}
+    marked_by_pc: dict[int, set[int]] = {}
     skipped_no_slice = 0
     walk_count = 0
-    for entries, _result in walks:
+    for entries in walks:
         walk_count += 1
         initiators = {e.pc for e in entries if e.is_h2p_branch}
         for pc in sorted(initiators):
@@ -926,20 +969,27 @@ def verify_walks(
             if not any(replay.marked):
                 continue
             checked[pc] = checked.get(pc, 0) + 1
+            marked_by_pc.setdefault(pc, set()).update(
+                e.pc for e, flag in zip(entries, replay.marked) if flag
+            )
             for finding in check_chain(chain, entries, replay.marked):
                 findings.append(finding)
                 if bus is not None:
                     bus.emit("chain_unsound", pc=pc, **{
                         k: v for k, v in finding.as_dict().items() if k != "pc"
                     })
-    if bus is not None:
-        for pc in sorted(checked):
-            bus.emit(
-                "chain_oracle",
-                pc=pc,
-                walks=checked[pc],
-                unsound=sum(1 for f in findings if f.branch_pc == pc),
-            )
+    branches: list[dict[str, Any]] = []
+    for pc in sorted(checked):
+        chain_pcs = chains.chains[pc].pcs
+        record: dict[str, Any] = {
+            "pc": pc,
+            "walks": checked[pc],
+            "unsound": sum(1 for f in findings if f.branch_pc == pc),
+            "recall": len(marked_by_pc[pc] & chain_pcs) / len(chain_pcs),
+        }
+        branches.append(record)
+        if bus is not None:
+            bus.emit("chain_oracle", **record)
     return {
         "findings": [f.as_dict() for f in findings],
         "unsound_total": len(findings),
@@ -947,6 +997,7 @@ def verify_walks(
         "walks_checked": sum(checked.values()),
         "walks_captured": walk_count,
         "skipped_no_slice": skipped_no_slice,
+        "branches": branches,
     }
 
 
@@ -1046,15 +1097,18 @@ def run_chain_oracle(
             config, tea=replace(config.tea, branch_mask=chains.allow_mask())
         )
     observation = Observation(record_events=False)
-    capture = WalkCapture()
-    capture.subscribe(observation.bus)
+    walks: list[list[FillEntry]] = []
     leads_by_pc: dict[int, list[int]] = {}
 
-    def on_resolved(event: Any) -> None:
+    def on_walk_done(event: Event) -> None:
+        walks.append(event.data["entries"])
+
+    def on_resolved(event: Event) -> None:
         lead = event.data.get("lead")
         if lead is not None:
             leads_by_pc.setdefault(event.pc, []).append(lead)
 
+    observation.bus.subscribe(on_walk_done, ("walk_done",))
     observation.bus.subscribe(on_resolved, ("branch_resolved",))
     result = run_workload(
         bundle, mode, scale, observe=observation,
@@ -1066,7 +1120,7 @@ def run_chain_oracle(
     report["masked"] = use_mask
     report["ipc"] = result.stats.ipc
     report["soundness"] = verify_walks(
-        chains, capture.walks, config.tea, observation.bus
+        chains, walks, config.tea, observation.bus
     )
     report["timeliness"] = reconcile_timeliness(chains, leads_by_pc)
     return report
@@ -1107,6 +1161,13 @@ def render_chain_report(report: dict[str, Any]) -> str:
             f"({soundness['branches_checked']} branches, "
             f"{soundness['skipped_no_slice']} indirect initiators skipped)"
         )
+        recalls = [rec["recall"] for rec in soundness["branches"]]
+        if recalls:
+            mean = sum(recalls) / len(recalls)
+            lines.append(
+                f"recall: attributed walks marked {mean:.2f} of a checked "
+                f"chain's PCs on average"
+            )
         for finding in soundness["findings"]:
             lines.append(f"  UNSOUND {finding['pc']:#x}: {finding['kind']}")
     timeliness = report.get("timeliness")

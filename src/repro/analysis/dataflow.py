@@ -11,12 +11,17 @@ Dataflow Walk's Source List use):
   reached by it is a read of a register the program never wrote on some
   path (the linter's undefined-read rule).
 * **Memory def-use with conservative may-alias** — memory locations
-  are abstracted as ``(base register, offset)`` pairs.  Two locations
-  *must* alias when the pair is identical, and *may* alias whenever the
-  base registers differ (nothing is known about their runtime values);
-  the single case provably distinct under this abstraction is the same
-  base register with different offsets.  A store kills only must-alias
-  stores; a load depends on every reaching may-alias store.
+  are abstracted as ``(base register, offset)`` pairs, which name one
+  address only while the base register keeps its value.  So a store
+  kills an earlier access, and a same-base access counts as a
+  different address from it, only when the earlier access is in the
+  same basic block and its base register has not been redefined
+  since: same offset is then the same address, a different offset a
+  different one.  Everything else may alias — accesses through
+  different base registers, accesses on either side of a base
+  redefinition, and every store reaching from another block (or from
+  an earlier iteration of the same block).  A load depends on every
+  reaching store it may alias.
 * **Liveness** — backward analysis over register use/def, used for the
   dead-store lint rule.
 
@@ -44,8 +49,8 @@ class MemLoc:
     offset: int
 
     def may_alias(self, other: "MemLoc") -> bool:
-        """Conservative aliasing: only same-base/different-offset pairs
-        are provably distinct."""
+        """Aliasing at one value of the base registers: only
+        same-base/different-offset pairs are provably distinct."""
         if self.base == other.base:
             return self.offset == other.offset
         return True
@@ -110,6 +115,10 @@ def analyze_dataflow(program: Program, cfg: CFG | None = None) -> DataflowResult
     # synthetic per-register entry defs.
     defs_by_reg: list[int] = [1 << (n + r) for r in range(NUM_ARCH_REGS)]
     store_locs: dict[int, MemLoc] = {}
+    all_stores = 0
+    # Stores by base register, and by identical ``(base, offset)``.
+    stores_by_base: list[int] = [0] * NUM_ARCH_REGS
+    must_alias_mask: dict[MemLoc, int] = {}
     for i, ins in enumerate(instrs):
         dst = reg_def(ins)
         if dst is not None:
@@ -118,28 +127,25 @@ def analyze_dataflow(program: Program, cfg: CFG | None = None) -> DataflowResult
             loc = mem_loc(ins)
             assert loc is not None
             store_locs[i] = loc
-    must_alias_mask: dict[MemLoc, int] = {}
-    may_alias_mask: dict[MemLoc, int] = {}
-    for i, loc in store_locs.items():
-        must_alias_mask[loc] = must_alias_mask.get(loc, 0) | (1 << i)
-    distinct_locs = set(store_locs.values())
-    for loc in distinct_locs:
-        mask = 0
-        for i, other in store_locs.items():
-            if loc.may_alias(other):
-                mask |= 1 << i
-        may_alias_mask[loc] = mask
+            all_stores |= 1 << i
+            stores_by_base[loc.base] |= 1 << i
+            must_alias_mask[loc] = must_alias_mask.get(loc, 0) | (1 << i)
 
     blocks = cfg.program.basic_blocks
     reachable = sorted(cfg.reachable)
 
     # --- per-block gen/kill for reaching definitions -------------------
+    # A store never kills a definition reaching the block: its
+    # ``(base, offset)`` is only comparable with accesses made earlier
+    # in the same block under the same base value.  ``fresh`` holds the
+    # block's stores whose base register is unchanged since they ran.
     gen: dict[int, int] = {}
     kill: dict[int, int] = {}
     for start in reachable:
         block = blocks[start]
         g = 0
         k = 0
+        fresh = 0
         for pc in block.pcs():
             i = index_of[pc]
             ins = instrs[i]
@@ -148,10 +154,11 @@ def analyze_dataflow(program: Program, cfg: CFG | None = None) -> DataflowResult
                 mask = defs_by_reg[dst]
                 k |= mask
                 g = (g & ~mask) | (1 << i)
+                fresh &= ~stores_by_base[dst]
             elif ins.is_store:
-                mask = must_alias_mask[store_locs[i]]
-                k |= mask
-                g = (g & ~mask) | (1 << i)
+                killed = fresh & must_alias_mask[store_locs[i]]
+                g = (g & ~killed) | (1 << i)
+                fresh = (fresh & ~killed) | (1 << i)
         gen[start] = g
         kill[start] = k
 
@@ -189,6 +196,10 @@ def analyze_dataflow(program: Program, cfg: CFG | None = None) -> DataflowResult
     for start in reachable:
         block = blocks[start]
         current = rd_in[start]
+        # Stores reaching the block entry: an instance from elsewhere
+        # (or from an earlier pass through this block) may alias anything.
+        incoming = current & all_stores
+        fresh = 0
         for pc in block.pcs():
             i = index_of[pc]
             ins = instrs[i]
@@ -202,18 +213,23 @@ def analyze_dataflow(program: Program, cfg: CFG | None = None) -> DataflowResult
             if ins.is_load:
                 loc = mem_loc(ins)
                 assert loc is not None
-                mask = 0
-                for other, other_mask in must_alias_mask.items():
-                    if loc.may_alias(other):
-                        mask |= other_mask
-                stores = current & mask
+                distinct = (
+                    fresh
+                    & ~incoming
+                    & stores_by_base[loc.base]
+                    & ~must_alias_mask.get(loc, 0)
+                )
+                stores = current & all_stores & ~distinct
                 if stores:
                     mem_ud[i] = _bits(stores)
             dst = reg_def(ins)
             if dst is not None:
                 current = (current & ~defs_by_reg[dst]) | (1 << i)
+                fresh &= ~stores_by_base[dst]
             elif ins.is_store:
-                current = (current & ~must_alias_mask[store_locs[i]]) | (1 << i)
+                killed = fresh & must_alias_mask[store_locs[i]]
+                current = (current & ~(killed & ~incoming)) | (1 << i)
+                fresh = (fresh & ~killed) | (1 << i)
 
     # --- liveness (backward) -------------------------------------------
     use_b: dict[int, int] = {}

@@ -20,7 +20,8 @@ def campaign_rollup(specs, outcomes, wall_seconds: float) -> dict:
     """Fold a campaign's specs and settled outcomes into its rollup.
 
     * ``cells`` — counts by status; a spec without a settled outcome
-      (a drained campaign) counts as ``pending``;
+      (a drained campaign) counts as ``pending``, and ``observed``
+      counts the ``ok`` cells whose metrics the last two fields fold;
     * ``by_cell`` — status, attempts and wall seconds per display key;
     * ``throughput`` — simulated cycles and busy seconds summed over
       settled cells, against the campaign's ``wall_seconds``;
@@ -45,9 +46,11 @@ def campaign_rollup(specs, outcomes, wall_seconds: float) -> dict:
     statuses = [cell["status"] for cell in by_cell.values()]
     emitted: dict[str, int] = {}
     merged: dict[str, dict[str, Histogram]] = {}
+    observed = 0
     for outcome in settled.values():
         if not (outcome.ok and outcome.metrics):
             continue
+        observed += 1
         for name, count in outcome.metrics["gauges"].items():
             if name.startswith("events."):
                 type_ = name[len("events."):]
@@ -67,6 +70,7 @@ def campaign_rollup(specs, outcomes, wall_seconds: float) -> dict:
             "timeout": statuses.count("timeout"),
             "pending": statuses.count("pending"),
             "retried": sum(1 for o in settled.values() if o.attempts > 1),
+            "observed": observed,
         },
         "by_cell": dict(sorted(by_cell.items())),
         "throughput": {

@@ -178,7 +178,7 @@ class Instruction:
     label: str | None = field(default=None, compare=False)
     #: 1-based source line in the assembly text this instruction came
     #: from (``None`` for hand-built instructions).  Carried so lint
-    #: findings and slicer output can point at workload source lines;
+    #: findings and static-chain reports can point at workload source lines;
     #: excluded from equality like ``label``.
     line: int | None = field(default=None, compare=False)
 

@@ -50,8 +50,6 @@ EVENT_TYPES: frozenset[str] = frozenset(
         "frontend_redirect",   # decoupled BP recovered + redirected after a flush
         "branch_retire",       # a can-mispredict branch retired (attribution feed)
         "branch_resolved",     # main resolution outcome of a TEA-relevant branch
-        "slice_oracle",        # static-slicer vs dynamic-walk chain comparison
-                               # (per H2P branch; repro.analysis.oracle)
         # Static chain analysis (repro.analysis.chains).
         "chain_oracle",        # per-branch runtime-chain soundness verdict
         "chain_unsound",       # a runtime chain escaped its static bound

@@ -92,9 +92,10 @@ def backward_dataflow_walk(
     With ``initiator_pc`` set, *only* H2P entries at that PC initiate
     (and §III-C chain-seed re-seeding is disabled): the walk computes
     the dependence chain attributable to that single branch.  This is
-    the replay mode the static-slicer oracle uses to score chain
-    membership per H2P branch (:mod:`repro.analysis.oracle`); the
-    default ``None`` is the production walk, bit-for-bit unchanged.
+    the replay mode the chain oracle (``repro chains --oracle``,
+    :func:`repro.analysis.chains.verify_walks`) uses to judge each
+    branch's walks against its static chain; the default ``None`` is
+    the production walk, bit-for-bit unchanged.
     """
     n = len(entries)
     marked = [False] * n

@@ -1,7 +1,7 @@
 """Static chain analyzer: construction, classification, the runtime
 soundness oracle, the TeaConfig branch mask, and timeliness.
 
-Acceptance gates (ISSUE 9):
+Acceptance gates:
 
 * zero unsound runtime chains on the pinned workload matrix;
 * every hand-seeded unsound fixture is detected;
@@ -27,7 +27,6 @@ from repro.analysis.chains import (
     run_chain_oracle,
     verify_walks,
 )
-from repro.analysis.slicer import slice_program
 from repro.core.config import ConfigError
 from repro.harness.runner import make_config, run_workload
 from repro.obs import Observation
@@ -231,7 +230,7 @@ def test_verify_walks_skips_initiators_without_a_slice(simple_chain):
     chains, _ = simple_chain
     walk = [fe(0x40, srcs=(1,), h2p=True)]  # no conditional branch here
     assert chains.chain_at(0x40) is None
-    report = verify_walks(chains, [(walk, None)], TeaConfig())
+    report = verify_walks(chains, [walk], TeaConfig())
     assert report["walks_captured"] == 1
     assert report["skipped_no_slice"] == 1
     assert report["branches_checked"] == 0
@@ -255,7 +254,7 @@ def test_branch_mask_must_be_sorted_unique_non_negative():
 
 def test_allow_all_mask_is_cycle_exact():
     bundle = make_workload("bfs", "tiny")
-    every_branch = tuple(sorted(slice_program(bundle.program).branches))
+    every_branch = tuple(sorted(analyze_chains(bundle.program).chains))
     base = run_workload(bundle, "tea", "tiny")
     cfg = make_config("tea")
     masked = run_workload(
@@ -277,7 +276,7 @@ def test_deny_all_mask_runs_clean_and_reports_denials():
     # Each vetoed H2P PC is reported exactly once.
     assert obs.bus.counts.get("tea_mask_denied", 0) >= 1
     assert obs.bus.counts.get("tea_mask_denied") <= len(
-        slice_program(bundle.program).branches
+        analyze_chains(bundle.program).chains
     ) + 4  # conditionals + a few indirect H2P candidates
 
 
@@ -324,6 +323,24 @@ def test_masked_oracle_run_stays_sound():
     assert report["masked"]
     assert report["soundness"]["unsound_total"] == 0
     assert report["ipc"] > 0
+
+
+def test_static_classification_matches_pinned_table():
+    # The CI chains job gates the same table after a full oracle run;
+    # the classification itself is static, so drift shows here first.
+    import json
+    from pathlib import Path
+
+    from repro.workloads import workload_names
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "analysis"
+    pinned = json.loads((path / "chains_pinned.json").read_text())
+    assert sorted(pinned["workloads"]) == sorted(workload_names())
+    for name, expect in pinned["workloads"].items():
+        chains = analyze_chains(make_workload(name, pinned["scale"]).program)
+        assert chains.counts() == expect["counts"], name
+        assert list(chains.allow_mask()) == expect["allow_mask"], name
+        assert len(chains.chains) == expect["conditional_branches"], name
 
 
 def test_static_report_shape():

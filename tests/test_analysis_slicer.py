@@ -1,7 +1,9 @@
-"""Static backward slices: contents, Block Cache-shaped masks, flags."""
+"""Static backward slices as static chains: contents, Block Cache-shaped
+masks, flags.  ``analyze_chains`` computes each branch's slice (its
+chain membership) in the same pass that collects the chain's edges."""
 
 from repro import assemble
-from repro.analysis import slice_program
+from repro.analysis import analyze_chains
 from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.workloads import make_workload
 
@@ -19,14 +21,14 @@ def test_slice_contains_branch_and_producers():
         blt r1, r2, top
         halt
     """)
-    slices = slice_program(program)
+    chains = analyze_chains(program)
     [branch_pc] = pcs_of(program, "blt")
-    sl = slices.slice_at(branch_pc)
-    assert sl is not None
+    chain = chains.chain_at(branch_pc)
+    assert chain is not None
     # Chain: both li's, the addi, and the branch itself.
-    assert sl.pcs == {0x0, 0x4, 0x8, branch_pc}
-    assert not sl.has_indirect
-    assert not sl.through_memory
+    assert chain.pcs == {0x0, 0x4, 0x8, branch_pc}
+    assert not chain.has_indirect
+    assert not chain.through_memory
 
 
 def test_unrelated_computation_excluded():
@@ -40,11 +42,11 @@ def test_unrelated_computation_excluded():
         blt r1, r2, top
         halt
     """)
-    slices = slice_program(program)
+    chains = analyze_chains(program)
     [branch_pc] = pcs_of(program, "blt")
-    sl = slices.slice_at(branch_pc)
+    chain = chains.chain_at(branch_pc)
     excluded = set(pcs_of(program, "mul")) | {0x8}  # li r5 and mul
-    assert not (sl.pcs & excluded)
+    assert not (chain.pcs & excluded)
 
 
 def test_memory_dependence_joins_chain_and_sets_flag():
@@ -58,22 +60,22 @@ def test_memory_dependence_joins_chain_and_sets_flag():
     out:
         halt
     """)
-    slices = slice_program(program)
+    chains = analyze_chains(program)
     [branch_pc] = pcs_of(program, "beq")
-    sl = slices.slice_at(branch_pc)
+    chain = chains.chain_at(branch_pc)
     [st_pc] = pcs_of(program, "st")
     [ld_pc] = pcs_of(program, "ld")
-    assert {st_pc, ld_pc} <= sl.pcs
-    assert sl.through_memory
+    assert {st_pc, ld_pc} <= chain.pcs
+    assert chain.through_memory
 
 
 def test_masks_match_pcs_bit_for_bit():
     bundle = make_workload("bfs", "tiny")
-    slices = slice_program(bundle.program)
-    assert slices.branches
-    for sl in slices.branches.values():
+    chains = analyze_chains(bundle.program)
+    assert chains.chains
+    for chain in chains.chains.values():
         rebuilt = set()
-        for start, mask in sl.masks.items():
+        for start, mask in chain.masks.items():
             block = bundle.program.basic_blocks[start]
             k = 0
             while mask:
@@ -83,18 +85,7 @@ def test_masks_match_pcs_bit_for_bit():
                     rebuilt.add(pc)
                 mask >>= 1
                 k += 1
-        assert rebuilt == set(sl.pcs)
-
-
-def test_combined_masks_is_union():
-    bundle = make_workload("mcf", "tiny")
-    slices = slice_program(bundle.program)
-    merged = slices.combined_masks()
-    expect = {}
-    for sl in slices.branches.values():
-        for start, mask in sl.masks.items():
-            expect[start] = expect.get(start, 0) | mask
-    assert merged == expect
+        assert rebuilt == set(chain.pcs)
 
 
 def test_unreachable_conditional_not_sliced():
@@ -105,16 +96,16 @@ def test_unreachable_conditional_not_sliced():
     out:
         halt
     """)
-    slices = slice_program(program)
+    chains = analyze_chains(program)
     [branch_pc] = pcs_of(program, "beq")
-    assert slices.slice_at(branch_pc) is None
+    assert chains.chain_at(branch_pc) is None
 
 
 def test_every_reachable_conditional_sliced_in_workloads():
     for name in ("bfs", "xz"):
         bundle = make_workload(name, "tiny")
-        slices = slice_program(bundle.program)
-        cfg = slices.cfg
+        chains = analyze_chains(bundle.program)
+        cfg = chains.cfg
         reachable_pcs = {
             pc for start in cfg.reachable for pc in cfg.blocks[start].pcs()
         }
@@ -123,5 +114,5 @@ def test_every_reachable_conditional_sliced_in_workloads():
             for ins in bundle.program.instructions
             if ins.is_conditional and ins.pc in reachable_pcs
         }
-        assert set(slices.branches) == expected
+        assert set(chains.chains) == expected
         assert expected, name

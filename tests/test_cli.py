@@ -35,11 +35,27 @@ class TestCommands:
         assert "validated         True" in out
 
     def test_compare(self, capsys):
-        code = main(["compare", "xz", "--modes", "baseline,tea"])
+        code = main(["run", "xz", "--modes", "baseline,tea", "--jobs", "0"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "baseline" in out and "tea" in out
-        assert "speedup" in out
+        assert "MPKI" in out and "speedup" in out
+        rows = {
+            line.split()[0]: line.split() for line in out.splitlines()
+            if line.startswith("xz/")
+        }
+        assert set(rows) == {"xz/baseline", "xz/tea"}
+        # Speedup is over the workload's baseline cell.
+        assert rows["xz/baseline"][4] == "+0.0%"
+        assert rows["xz/tea"][4].endswith("%")
+
+    # One mode is a single in-process run, two a campaign: both paths
+    # reject the unknown mode before simulating anything.
+    @pytest.mark.parametrize("modes", ["baseline,bogus", "bogus"])
+    def test_run_rejects_unknown_mode_before_simulating(self, modes, capsys):
+        assert main(["run", "xz", "--modes", modes]) == 2
+        captured = capsys.readouterr()
+        assert "unknown mode 'bogus'" in captured.err
+        assert captured.out == ""
 
     def test_figure(self, capsys):
         code = main(["figure", "fig6", "--workloads", "xz", "--scale", "tiny"])
@@ -90,43 +106,49 @@ class TestLintCommand:
 
 
 class TestSliceCommand:
+    """A branch's static slice is its chain: ``repro chains`` lists each
+    one's members, and ``chains --oracle`` scores the walks against it."""
+
     def test_slice_table(self, capsys):
-        assert main(["slice", "bfs"]) == 0
+        from repro.analysis import analyze_chains
+        from repro.workloads import make_workload
+
+        chains = analyze_chains(make_workload("bfs", "tiny").program)
+        assert main(["chains", "bfs"]) == 0
         out = capsys.readouterr().out
-        assert "conditional branches" in out
+        assert f"{len(chains.chains)} conditional branches" in out
+        sizes = {
+            int(line.split()[0], 16): int(line.split()[2])
+            for line in out.splitlines() if line.lstrip().startswith("0x")
+        }
+        assert sizes == {pc: c.size for pc, c in chains.chains.items()}
 
     def test_slice_json(self, capsys):
         import json
 
-        assert main(["slice", "bfs", "--json"]) == 0
+        assert main(["chains", "bfs", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload
-        for record in payload.values():
+        assert payload["branches"]
+        for record in payload["branches"]:
             assert record["size"] == len(record["pcs"])
-
-    def test_slice_single_branch_filter(self, capsys):
-        assert main(["slice", "bfs", "--json"]) == 0
-        import json
-
-        payload = json.loads(capsys.readouterr().out)
-        pc = next(iter(payload))
-        assert main(["slice", "bfs", "--branch", pc]) == 0
-        assert pc in capsys.readouterr().out
-
-    def test_slice_unknown_branch(self, capsys):
-        assert main(["slice", "bfs", "--branch", "0xdead0"]) == 2
+            assert record["pc"] in record["pcs"]
 
     def test_slice_oracle_writes_report(self, tmp_path, capsys):
         import json
 
         out_path = tmp_path / "oracle.json"
-        code = main([
-            "slice", "xz", "--oracle", "--out", str(out_path),
-        ])
+        code = main(["chains", "xz", "--oracle", "--out", str(out_path)])
         assert code == 0
-        assert "H2P branches scored" in capsys.readouterr().out
+        assert "recall: attributed walks marked" in capsys.readouterr().out
         report = json.loads(out_path.read_text())
-        assert report["summary"]["min_precision_direct"] >= 0.90
+        assert report["soundness"]["walks_checked"] > 0
+        # No walk-marked PC outside its chain: precision 1.00.
+        assert not [
+            f for f in report["soundness"]["findings"]
+            if f["kind"] == "uop_not_in_slice"
+        ]
+        for record in report["soundness"]["branches"]:
+            assert 0.0 < record["recall"] <= 1.0
 
 
 class TestChainsCommand:
@@ -157,6 +179,14 @@ class TestChainsCommand:
         assert "soundness: 0 unsound" in capsys.readouterr().out
         report = json.loads(out_path.read_text())
         assert report["soundness"]["unsound_total"] == 0
+
+    def test_chains_oracle_rejects_mode_without_tea(self, capsys):
+        code = main(["chains", "xz", "--oracle", "--mode", "baseline"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "'baseline'" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
 
     def test_chains_mask_requires_oracle(self, capsys):
         assert main(["chains", "bfs", "--mask"]) == 2

@@ -106,7 +106,7 @@ def test_rollup_counts_unsettled_cells_as_pending():
     rollup = campaign_rollup(specs, [done], 12.5)
     assert rollup["cells"] == {
         "total": 3, "ok": 1, "failed": 0, "timeout": 0,
-        "pending": 2, "retried": 1,
+        "pending": 2, "retried": 1, "observed": 0,
     }
     assert rollup["by_cell"]["a/tea"] == {
         "status": "ok", "attempts": 2, "duration": 10.0,
@@ -118,6 +118,21 @@ def test_rollup_counts_unsettled_cells_as_pending():
         "simulated_cycles": 1000, "wall_seconds": 12.5,
         "busy_seconds": 10.0, "cycles_per_sec": 100.0,
     }
+
+
+def test_rollup_counts_observed_cells():
+    observed = _outcome("xz", "tea", {"tea.chain_length": _hist([1, 0, 0, 0])},
+                        gauges={"events.flush": 2})
+    resumed = _outcome("xz", "baseline", resumed=True,
+                       stats={"cycles": 500})
+    rollup = campaign_rollup(
+        [observed.spec, resumed.spec], [observed, resumed], 1.0
+    )
+    # Both cells are ok, but only the observed one's metrics are folded.
+    assert rollup["cells"]["ok"] == 2
+    assert rollup["cells"]["observed"] == 1
+    assert rollup["events"] == {"emitted": {"flush": 2}}
+    assert rollup["throughput"]["simulated_cycles"] == 500
 
 
 def test_rollup_is_json_serializable():
@@ -157,7 +172,7 @@ def test_pool_campaign_rollup():
     rollup = campaign_rollup(specs, outcomes, 1.0)
     assert rollup["cells"] == {
         "total": 2, "ok": 2, "failed": 0, "timeout": 0,
-        "pending": 0, "retried": 0,
+        "pending": 0, "retried": 0, "observed": 2,
     }
     assert set(rollup["by_cell"]) == {"xz/tea", "xz/baseline"}
     assert rollup["throughput"]["simulated_cycles"] == sum(
