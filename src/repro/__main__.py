@@ -964,7 +964,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type of ``--jobs`` and ``--retries``: an integer >= 0."""
+    """argparse type of ``--jobs``, ``--retries`` and
+    ``--check-invariants``: an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -1019,7 +1020,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--stats-out", default=None, metavar="PATH",
                        help="write a flat JSON metrics snapshot "
                             "(single run only)")
-    p_run.add_argument("--check-invariants", type=int, default=0, metavar="N",
+    p_run.add_argument("--check-invariants", type=_count, default=0,
+                       metavar="N",
                        help="audit machine invariants every N cycles "
                             "(0 = off; disables idle fast-forward)")
     p_run.add_argument("--follow", action="store_true",
@@ -1196,7 +1198,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: all registered kinds)")
     p_inject.add_argument("--seeds", type=int, default=2, metavar="N",
                           help="seeds per (workload, kind) cell")
-    p_inject.add_argument("--check-invariants", type=int, default=16,
+    p_inject.add_argument("--check-invariants", type=_count, default=16,
                           metavar="N",
                           help="invariant audit period during the campaign")
     p_inject.add_argument("--max-cycles", type=int, default=2_000_000)
@@ -1234,7 +1236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--report", default=None, metavar="PATH",
                         help="write the JSON triage report")
     p_fuzz.add_argument("--mode", default="baseline", choices=MODES)
-    p_fuzz.add_argument("--check-invariants", type=int, default=64,
+    p_fuzz.add_argument("--check-invariants", type=_count, default=64,
                         metavar="N",
                         help="invariant audit period in the pipeline leg")
     p_fuzz.add_argument("--max-cycles", type=int, default=2_000_000)

@@ -188,9 +188,9 @@ class TeaController:
         self._pending_walk = None
         obs_hook = self.p.obs
         if obs_hook is not None and obs_hook.wants("walk_done"):
-            # Firehose hook for the chain oracle: the raw entries +
-            # walk result, before they are folded into masks.
-            obs_hook.emit("walk_done", entries=entries, result=result)
+            # Firehose hook for the chain oracle: the raw entries,
+            # before they are folded into masks.
+            obs_hook.emit("walk_done", entries=entries)
         masks: dict[int, int] = {}
         for i in range(stop_index, len(entries)):
             entry = entries[i]

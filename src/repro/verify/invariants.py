@@ -41,7 +41,10 @@ detail, and emits an ``invariant_violation`` event on the obs bus.
 
 Cost discipline: checking is opt-in (``SimConfig.check_invariants = N``
 audits every N cycles, 0 = off) and a disabled checker is never
-constructed, so the default simulation path is unchanged.
+constructed, so the default simulation path is unchanged.  An audit is
+linear in the in-flight uops and wakeup subscriptions: the preg and
+wakeup families compare whole multisets at once, and only a failing
+audit builds the ``Counter`` diff its ``detail`` reports.
 """
 
 from __future__ import annotations
@@ -53,6 +56,20 @@ from .diagnostics import progress_diagnostics
 
 _LIVE_ROB_STATES = (UopState.RENAMED, UopState.EXECUTING, UopState.DONE)
 _LIVE_TEA_STATES = (UopState.RENAMED, UopState.EXECUTING)
+
+
+def _holds_each_once(held: list, pool: range) -> bool:
+    """True when ``held`` names every preg of ``pool`` exactly once."""
+    return len(held) == len(pool) and set(held) == set(pool)
+
+
+def _pool_mismatch(held: list, pool: range) -> str:
+    """The detail of a failed :func:`_holds_each_once` (failing audits
+    only: it builds the multiset diff)."""
+    have, expected = Counter(held), Counter(pool)
+    missing = sorted((expected - have).elements())[:8]
+    extra = sorted((have - expected).elements())[:8]
+    return f"preg multiset mismatch: leaked={missing} double-held={extra}"
 
 
 class InvariantViolation(RuntimeError):
@@ -124,44 +141,27 @@ class InvariantChecker:
         name = "preg_conservation"
         # Main pool: free list + current RAT mappings + in-flight
         # previous mappings (freed at retire) == pregs 1..main_size.
-        held = Counter(preg for preg in prf.main_free)
-        held.update(preg for preg in p.rat.map if preg != 0)
-        held.update(
-            uop.old_dst_preg
-            for uop in p.rob
-            if uop.old_dst_preg is not None and uop.old_dst_preg != 0
-        )
-        expected = Counter(range(1, 1 + prf.main_size))
-        if held != expected:
-            missing = sorted((expected - held).elements())[:8]
-            extra = sorted((held - expected).elements())[:8]
-            self._fail(
-                name,
-                f"main preg multiset mismatch: leaked={missing} "
-                f"double-held={extra}",
-            )
+        held = list(prf.main_free)
+        held += [preg for preg in p.rat.map if preg]
+        held += [uop.old_dst_preg for uop in p.rob if uop.old_dst_preg]
+        pool = range(1, 1 + prf.main_size)
+        if not _holds_each_once(held, pool):
+            self._fail(name, f"main {_pool_mismatch(held, pool)}")
         tea = p.tea
         if tea is None or prf.tea_size == 0:
             return
         # TEA partition: free list + pregs tracked by the valid-bit /
         # refcount scheme == the pregs above the main pool.
-        tea_free = Counter(prf.tea_free)
-        tracked = set(tea._valid) | set(tea._refcount)
-        dup = [preg for preg in tracked if tea_free[preg]]
+        tracked = tea._valid.keys() | tea._refcount.keys()
+        dup = tracked.intersection(prf.tea_free)
         if dup:
             self._fail(name, f"TEA pregs both free and tracked: {sorted(dup)[:8]}")
-        held = tea_free + Counter(tracked)
-        total = 1 + prf.main_size + prf.tea_size
-        expected = Counter(range(1 + prf.main_size, total))
-        if held != expected:
-            missing = sorted((expected - held).elements())[:8]
-            extra = sorted((held - expected).elements())[:8]
-            self._fail(
-                name,
-                f"TEA preg multiset mismatch: leaked={missing} "
-                f"double-held={extra}",
-            )
-        stray = tea._refcount_saturated - set(tea._refcount)
+        held = list(prf.tea_free)
+        held += tracked
+        pool = range(1 + prf.main_size, 1 + prf.main_size + prf.tea_size)
+        if not _holds_each_once(held, pool):
+            self._fail(name, f"TEA {_pool_mismatch(held, pool)}")
+        stray = tea._refcount_saturated.difference(tea._refcount)
         if stray:
             self._fail(
                 name,
@@ -251,13 +251,14 @@ class InvariantChecker:
         for label, depth, cap in bounds:
             if depth > cap:
                 self._fail(name, f"{label} over capacity: {depth} > {cap}")
-        # Shadow FTQ blocks must stay in timestamp order (its depth is
-        # legitimately unbounded while the TEA thread rename-stalls).
+        # Shadow FTQ blocks must stay in strict timestamp order (its
+        # depth is legitimately unbounded while the TEA thread
+        # rename-stalls).
         prev_seq = -1
         for block in p.frontend.shadow_ftq:
             if not block.uops:
                 continue
-            if block.first_seq < prev_seq:
+            if block.first_seq <= prev_seq:
                 self._fail(
                     name,
                     f"shadow FTQ out of order: block first_seq "
@@ -293,13 +294,15 @@ class InvariantChecker:
         pools = (
             ("ready_main", sched._ready_main, False),
             ("blocked_main", sched._blocked_main, False),
-            ("waiting_main", list(sched._waiting_main.values()), False),
+            ("waiting_main", sched._waiting_main.values(), False),
             ("ready_tea", sched._ready_tea, True),
             ("blocked_tea", sched._blocked_tea, True),
-            ("waiting_tea", list(sched._waiting_tea.values()), True),
+            ("waiting_tea", sched._waiting_tea.values(), True),
         )
         seen: dict[int, str] = {}
-        resident: list = []
+        # One (preg, consumer) pair per non-zero source occurrence of
+        # every RS-resident uop: what the wakeup lists must hold.
+        sources: list[tuple[int, int]] = []
         for label, pool, is_tea in pools:
             waiting = label.startswith("waiting")
             for uop in pool:
@@ -309,19 +312,20 @@ class InvariantChecker:
                         f"thread mix-up: seq={uop.seq} is_tea={uop.is_tea} "
                         f"in pool {label}",
                     )
-                other = seen.get(id(uop))
+                key = id(uop)
+                other = seen.get(key)
                 if other is not None:
                     self._fail(
                         name,
                         f"seq={uop.seq} in both {other} and {label}",
                     )
-                seen[id(uop)] = label
-                resident.append(uop)
-                unready = sum(
-                    1
-                    for preg in uop.src_pregs
-                    if preg and not ready_bits[preg]
-                )
+                seen[key] = label
+                unready = 0
+                for preg in uop.src_pregs:
+                    if preg:
+                        sources.append((preg, key))
+                        if not ready_bits[preg]:
+                            unready += 1
                 if waiting:
                     if uop.pending_srcs < 1:
                         self._fail(
@@ -349,23 +353,28 @@ class InvariantChecker:
                             f"{label} seq={uop.seq} has {unready} unready "
                             f"source(s)",
                         )
-        # Per-preg wakeup lists must contain exactly the RS-resident
-        # consumers, one entry per source occurrence.
-        want: dict[int, Counter] = {}
-        for uop in resident:
-            for preg in uop.src_pregs:
-                if preg:
-                    want.setdefault(preg, Counter())[id(uop)] += 1
-        for preg, waiters in enumerate(prf.waiters):
-            have = Counter(id(uop) for uop in waiters)
-            expected = want.get(preg, Counter())
-            if have != expected:
-                self._fail(
-                    name,
-                    f"preg {preg} wakeup list mismatch: "
-                    f"{sum(have.values())} subscribed vs "
-                    f"{sum(expected.values())} resident source occurrences",
-                )
+        # The per-preg wakeup lists (preg 0's included, which must stay
+        # empty) must contain exactly those pairs, as a multiset.
+        subscribed = [
+            (preg, id(uop))
+            for preg, waiters in enumerate(prf.waiters)
+            if waiters
+            for uop in waiters
+        ]
+        have, want = Counter(subscribed), Counter(sources)
+        # Both hold positive counts only, so they compare as plain
+        # dicts, without Counter.__eq__'s per-key Python loop.
+        if dict.__eq__(have, want):
+            return
+        # Report the first differing preg in index order.
+        preg = min(q for q, _ in (have - want) + (want - have))
+        expected = sum(n for (q, _), n in want.items() if q == preg)
+        self._fail(
+            name,
+            f"preg {preg} wakeup list mismatch: "
+            f"{len(prf.waiters[preg])} subscribed vs "
+            f"{expected} resident source occurrences",
+        )
 
     def _check_tea_partition(self) -> None:
         p = self.p

@@ -299,16 +299,22 @@ class TestCountArguments:
         ["run", "xz,bfs", "--jobs", "-1"],
         ["figure", "fig5", "--jobs", "-1"],
         ["figure", "fig5", "--retries", "-2"],
+        ["run", "xz", "--check-invariants", "-1"],
+        ["inject", "xz", "--check-invariants", "-1"],
+        ["fuzz", "--seeds", "1", "--check-invariants", "-1"],
     ])
     def test_negative_count_is_a_usage_error(self, argv, monkeypatch, capsys):
         import repro.fuzz
         import repro.sampling
+        import repro.verify
 
         def simulate(*args, **kwargs):
             raise AssertionError("simulated despite a usage error")
 
         monkeypatch.setattr(repro.sampling, "run_sampled", simulate)
         monkeypatch.setattr(repro.fuzz, "run_fuzz_campaign", simulate)
+        monkeypatch.setattr(repro.verify, "run_fault_campaign", simulate)
+        monkeypatch.setattr("repro.__main__.run_workload", simulate)
         monkeypatch.setattr("repro.__main__.CampaignExecutor", simulate)
         monkeypatch.setattr("repro.__main__.ExperimentSuite", simulate)
         with pytest.raises(SystemExit) as exc:
