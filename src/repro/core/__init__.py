@@ -2,7 +2,7 @@
 
 from .config import ConfigError, CoreConfig, SimConfig
 from .dynamic_uop import DynUop, UopState
-from .ifbq import IfbqEntry, InFlightBranchQueue
+from .ifbq import InFlightBranchQueue
 from .lsq import LoadQueue, StoreQueue
 from .pipeline import Pipeline, SimulationError
 from .rename import (
@@ -21,7 +21,6 @@ __all__ = [
     "SimConfig",
     "DynUop",
     "UopState",
-    "IfbqEntry",
     "InFlightBranchQueue",
     "LoadQueue",
     "StoreQueue",

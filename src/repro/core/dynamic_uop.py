@@ -1,10 +1,13 @@
 """Dynamic (in-flight) uop state.
 
 A :class:`DynUop` is created when the main thread (or the TEA thread)
-consumes a :class:`~repro.frontend.decoupled.FetchUop` from the FTQ.
-Its ``seq`` is the FTQ-assigned sequence number — shared between a TEA
-uop and its main-thread counterpart, which is exactly the paper's
-synchronized timestamp.
+fetches a uop out of an FTQ block
+(:class:`~repro.frontend.decoupled.FetchBlock`), and only then: the
+block is a run of sequential uops, and the uop at offset ``k`` becomes
+``DynUop(first_seq + k, <instruction at start_pc + 4k>, <its
+BranchInfo, for a branch>)``.  Its ``seq`` is the FTQ-assigned sequence
+number — shared between a TEA uop and its main-thread counterpart,
+which is exactly the paper's synchronized timestamp.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from collections import deque
 
 from ..frontend.decoupled import DecoupledFrontend, FetchBlock
 from ..isa import (
+    INSTRUCTION_BYTES,
     Program,
     REG_ZERO,
     UopClass,
@@ -411,12 +412,13 @@ class Pipeline:
     # ==================================================================
     def _predict(self) -> None:
         block = self.frontend.tick()
-        if block is None or block.branches is None:
+        if block is None:
             return
         for branch in block.branches:
-            self.ifbq.add(branch)
-            if self.runahead is not None:
-                self.runahead.on_branch_predicted(branch)
+            if branch.can_mispredict:
+                self.ifbq.add(branch)
+                if self.runahead is not None:
+                    self.runahead.on_branch_predicted(branch)
 
     # ==================================================================
     # Main-thread fetch: FTQ -> I-cache -> frontend pipe
@@ -426,10 +428,12 @@ class Pipeline:
         budget = min(self._fetch_width, self._frontend_buffer - len(decode_pipe))
         cycle = self.cycle
         tea = self.tea
-        is_chain_seq = tea.is_chain_seq if tea is not None else None
+        chain_seqs = tea.chain_seqs if tea is not None else None
         rename_ready = cycle + self._post_fetch_delay
         append = decode_pipe.append
-        stats = self.stats
+        program = self.program
+        instructions = program.instructions
+        entry_pc = program.entry_pc
         blocks_finished = 0
         while budget > 0 and blocks_finished < self._max_blocks_fetched:
             ftq = self.frontend.ftq
@@ -439,31 +443,42 @@ class Pipeline:
             if block is not self._cur_block:
                 self._cur_block = block
                 self._block_offset = 0
-                ready = self.hierarchy.access_ifetch(block.start_pc, cycle)
-                last_pc = block.uops[-1].instr.pc if block.uops else block.start_pc
-                if line_address(last_pc) != line_address(block.start_pc):
+                start_pc = block.start_pc
+                ready = self.hierarchy.access_ifetch(start_pc, cycle)
+                last_pc = start_pc + max(0, block.count - 1) * INSTRUCTION_BYTES
+                if line_address(last_pc) != line_address(start_pc):
                     ready = max(
                         ready, self.hierarchy.access_ifetch(last_pc, cycle)
                     )
                 self._cur_block_ready = ready
             if self._cur_block_ready > cycle:
                 break
-            uops = block.uops
+            # The uop at offset k is instruction index + k, numbered
+            # first_seq + k: build the dynamic uop from the run.
             offset = self._block_offset
-            n = len(uops)
-            while budget > 0 and offset < n:
-                fuop = uops[offset]
-                dyn = DynUop(fuop.seq, fuop.instr, fuop.branch, is_tea=False)
-                dyn.fetch_cycle = cycle
-                dyn.rename_ready_cycle = rename_ready
-                if is_chain_seq is not None and is_chain_seq(fuop.seq):
-                    dyn.in_chain = True
-                append(dyn)
-                stats.fetched_uops += 1
-                offset += 1
-                budget -= 1
-            self._block_offset = offset
-            if offset >= n:
+            count = block.count
+            if offset < count:
+                stop = min(count, offset + budget)
+                index = (block.start_pc - entry_pc) // INSTRUCTION_BYTES
+                first_seq = block.first_seq
+                for k in range(offset, stop):
+                    instr = instructions[index + k]
+                    seq = first_seq + k
+                    dyn = DynUop(
+                        seq,
+                        instr,
+                        block.branch_at(seq) if instr.is_branch else None,
+                        False,
+                    )
+                    dyn.fetch_cycle = cycle
+                    dyn.rename_ready_cycle = rename_ready
+                    if chain_seqs is not None and seq in chain_seqs:
+                        dyn.in_chain = True
+                    append(dyn)
+                self.stats.fetched_uops += stop - offset
+                budget -= stop - offset
+                self._block_offset = offset = stop
+            if offset >= count:
                 ftq.popleft()
                 self._cur_block = None
                 blocks_finished += 1
@@ -732,7 +747,6 @@ class Pipeline:
         entry = self.ifbq.get(uop.seq)
         if entry is not None:
             entry.main_resolved = True
-            entry.main_resolve_cycle = self.cycle
 
         tea_resolved = entry is not None and entry.tea_resolved
         tea_flushed = entry is not None and entry.tea_flush_issued

@@ -11,7 +11,6 @@ from .decoupled import (
     BranchInfo,
     DecoupledFrontend,
     FetchBlock,
-    FetchUop,
     FrontendConfig,
 )
 from .history import HistoryState, fold_history
@@ -33,7 +32,6 @@ __all__ = [
     "BranchInfo",
     "DecoupledFrontend",
     "FetchBlock",
-    "FetchUop",
     "FrontendConfig",
     "HistoryState",
     "fold_history",

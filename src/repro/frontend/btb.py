@@ -41,13 +41,15 @@ class Btb:
 
     def lookup(self, pc: int) -> int | None:
         """Return the cached target for the branch at ``pc`` (or None)."""
-        cset, tag = self._locate(pc)
-        if tag in cset:
-            cset.move_to_end(tag)
-            self.hits += 1
-            return cset[tag]
-        self.misses += 1
-        return None
+        word = pc >> 2
+        cset = self._sets[word & (self.num_sets - 1)]
+        target = cset.get(word)
+        if target is None:
+            self.misses += 1
+            return None
+        cset.move_to_end(word)
+        self.hits += 1
+        return target
 
     def install(self, pc: int, target: int) -> None:
         """Record a branch and its most recent taken target."""

@@ -13,6 +13,14 @@ misprediction flush truncates the FTQ at the branch's timestamp,
 restores the predictor's speculative state from the snapshot captured
 when the branch was predicted, re-applies the branch's actual outcome,
 and resumes prediction at the correct target.
+
+Most predicted uops are never fetched: the predictor runs far ahead
+and a flush throws the rest away.  So prediction costs per predicted
+*branch*, not per predicted uop.  A :class:`FetchBlock` is a run
+(start PC, first sequence number, count) plus one :class:`BranchInfo`
+per branch in it; the predictor steps over each straight-line stretch
+at once (:attr:`~repro.isa.Program.plain_runs`), and a consumer builds
+a uop's dynamic state only when it fetches it, by offset into the run.
 """
 
 from __future__ import annotations
@@ -27,6 +35,13 @@ from .ittage import Ittage, IttageConfig, IttagePrediction
 from .ras import ReturnAddressStack
 from .tagescl import TageScl, TageSclConfig
 from .tage import TagePrediction
+
+_BR_COND = UopClass.BR_COND
+_BR_JUMP = UopClass.BR_JUMP
+_BR_CALL = UopClass.BR_CALL
+_BR_RET = UopClass.BR_RET
+_BR_IND = UopClass.BR_IND
+_HALT = UopClass.HALT
 
 
 @dataclass(frozen=True)
@@ -44,64 +59,141 @@ class FrontendConfig:
     conditional_predictor: str = "tagescl"
 
 
-@dataclass(slots=True)
 class BranchInfo:
-    """Everything the pipeline needs to verify/recover one branch."""
+    """The one record of a predicted branch.
 
-    seq: int
-    pc: int
-    uop_class: UopClass
-    predicted_taken: bool
-    predicted_target: int
-    fallthrough: int
-    can_mispredict: bool
-    tage_pred: TagePrediction | None = None
-    ittage_pred: IttagePrediction | None = None
-    history_snapshot: tuple | None = None
-    ras_snapshot: object = None
-    loop_snapshot: object = None
-    btb_hit: bool = True
-    is_backward: bool = False
-    override_used: bool = False    # a precomputed outcome replaced TAGE
+    It holds the prediction, the predictor state to recover to if the
+    branch mispredicts (the global history registers, the RAS top and
+    the loop predictor's speculative counts, all as they were just
+    before the prediction), and — for a branch that can mispredict —
+    its in-flight branch queue state (:mod:`repro.core.ifbq`): whether
+    and where main rename checkpointed the RAT, what the TEA thread
+    precomputed, and whether the main thread has resolved it.
+    """
+
+    __slots__ = (
+        "seq",
+        "pc",
+        "uop_class",
+        "predicted_taken",
+        "predicted_target",
+        "fallthrough",
+        "can_mispredict",
+        "tage_pred",
+        "ittage_pred",
+        "override_used",   # a precomputed outcome replaced TAGE
+        # Recovery state.
+        "ghr",
+        "path",
+        "folds",
+        "ras_top",
+        "loop_counts",
+        # In-flight branch queue state.
+        "renamed",
+        "rat_checkpoint",
+        "tea_resolved",
+        "tea_taken",
+        "tea_target",
+        "tea_resolve_cycle",
+        "tea_flush_issued",
+        "main_resolved",
+    )
+
+    def __init__(
+        self,
+        seq: int,
+        pc: int,
+        uop_class: UopClass,
+        predicted_taken: bool,
+        predicted_target: int,
+        fallthrough: int,
+        can_mispredict: bool = False,
+        tage_pred: TagePrediction | None = None,
+        ittage_pred: IttagePrediction | None = None,
+        override_used: bool = False,
+        ghr: int = 0,
+        path: int = 0,
+        folds: int = 0,
+        ras_top: object = None,
+        loop_counts: object = None,
+    ):
+        self.seq = seq
+        self.pc = pc
+        self.uop_class = uop_class
+        self.predicted_taken = predicted_taken
+        self.predicted_target = predicted_target
+        self.fallthrough = fallthrough
+        self.can_mispredict = can_mispredict
+        self.tage_pred = tage_pred
+        self.ittage_pred = ittage_pred
+        self.override_used = override_used
+        self.ghr = ghr
+        self.path = path
+        self.folds = folds
+        self.ras_top = ras_top
+        self.loop_counts = loop_counts
+        self.renamed = False
+        self.rat_checkpoint: tuple[int, ...] | None = None
+        self.tea_resolved = False
+        self.tea_taken: bool | None = None
+        self.tea_target: int | None = None
+        self.tea_resolve_cycle = -1
+        self.tea_flush_issued = False
+        self.main_resolved = False
 
     @property
     def predicted_next_pc(self) -> int:
         return self.predicted_target if self.predicted_taken else self.fallthrough
 
-
-@dataclass(slots=True)
-class FetchUop:
-    """A dynamic uop as produced by the decoupled BP."""
-
-    seq: int
-    instr: Instruction
-    branch: BranchInfo | None = None
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<BranchInfo seq={self.seq} pc={self.pc:#x} "
+            f"{self.uop_class.name} next={self.predicted_next_pc:#x}>"
+        )
 
 
-@dataclass(slots=True)
 class FetchBlock:
-    """One FTQ entry: a fetch address plus its predicted uop run."""
+    """One FTQ entry: a run of sequential uops.
 
-    start_pc: int
-    uops: list[FetchUop]
-    next_fetch_pc: int | None
-    # Mispredictable branches in the block (usually 0 or 1), so
-    # consumers that only care about branches skip the uop scan.
-    branches: list[BranchInfo] | None = None
+    The uop at offset ``k`` (``0 <= k < count``) is the instruction at
+    ``start_pc + 4k`` with sequence number ``first_seq + k``;
+    ``branches`` holds the :class:`BranchInfo` of every branch in the
+    run, oldest first.  A flush truncates the run by lowering
+    ``count``.
+    """
 
-    @property
-    def first_seq(self) -> int:
-        return self.uops[0].seq if self.uops else -1
+    __slots__ = ("start_pc", "first_seq", "count", "next_fetch_pc", "branches")
+
+    def __init__(
+        self,
+        start_pc: int,
+        first_seq: int,
+        count: int,
+        next_fetch_pc: int | None,
+        branches: list[BranchInfo] | tuple[()] = (),
+    ):
+        self.start_pc = start_pc
+        self.first_seq = first_seq
+        self.count = count
+        self.next_fetch_pc = next_fetch_pc
+        self.branches = branches
 
     @property
     def last_seq(self) -> int:
-        return self.uops[-1].seq if self.uops else -1
+        return self.first_seq + self.count - 1
+
+    def branch_at(self, seq: int) -> BranchInfo | None:
+        """The branch with sequence number ``seq`` (None if no branch)."""
+        for branch in self.branches:
+            if branch.seq == seq:
+                return branch
+        return None
 
     def truncate_after(self, seq: int) -> None:
         """Drop uops younger than ``seq`` (flush support)."""
-        keep = [u for u in self.uops if u.seq <= seq]
-        self.uops[:] = keep
-        if self.branches:
+        keep = max(0, seq - self.first_seq + 1)
+        if keep < self.count:
+            self.count = keep
             self.branches = [b for b in self.branches if b.seq <= seq]
 
 
@@ -157,7 +249,7 @@ class DecoupledFrontend:
 
     def tick(self) -> FetchBlock | None:
         """Produce at most one fetch block per cycle."""
-        if self.stalled() or self.ftq_full():
+        if self.next_pc is None or len(self.ftq) >= self.config.ftq_capacity:
             self.stall_cycles += 1
             return None
         block = self._generate_block()
@@ -171,158 +263,122 @@ class DecoupledFrontend:
 
     # ------------------------------------------------------------------
     def _generate_block(self) -> FetchBlock | None:
-        start_pc = self.next_pc
-        assert start_pc is not None
-        pc = start_pc
-        uops: list[FetchUop] = []
-        append = uops.append
-        branches: list[BranchInfo] | None = None
+        """Predict one fetch block from ``next_pc``.
+
+        A straight-line stretch costs one step (its length comes from
+        the program's plain-run table); only branches are predicted
+        one by one.
+        """
+        start_pc = pc = self.next_pc
+        first_seq = seq = self._seq
+        room = self.config.max_block_uops
+        plain_runs = self.program.plain_runs
+        instructions = self.program._by_pc  # skip the wrapper frame
+        branches = ()
         next_fetch: int | None = None
-        instruction_at = self.program._by_pc.get  # skip the wrapper frame
-        halt = UopClass.HALT
-        for _ in range(self.config.max_block_uops):
-            instr = instruction_at(pc)
-            if instr is None:
+        while True:
+            run = plain_runs.get(pc)
+            if run is None:
                 # Predicted off the instruction image (wrong path, or
                 # fell past the end); stall until a flush redirects us.
-                self.next_pc = None
                 break
-            seq = self._seq
-            self._seq = seq + 1
-            if instr.uop_class is halt:
-                append(FetchUop(seq, instr))
-                self.next_pc = None
-                break
-            if not instr.is_branch:
-                append(FetchUop(seq, instr))
-                pc += INSTRUCTION_BYTES
+            if run:
+                if run >= room:
+                    seq += room
+                    next_fetch = pc + room * INSTRUCTION_BYTES
+                    break
+                seq += run
+                room -= run
+                pc += run * INSTRUCTION_BYTES
                 continue
-            branch = self._predict_branch(instr, seq)
-            append(FetchUop(seq, instr, branch))
-            if branch.can_mispredict:
-                if branches is None:
-                    branches = [branch]
-                else:
-                    branches.append(branch)
+            instr = instructions[pc]
+            seq += 1
+            room -= 1
+            if instr.uop_class is _HALT:
+                break
+            branch = self._predict_branch(instr, seq - 1)
+            if branches:
+                branches.append(branch)
+            else:
+                branches = [branch]
             if branch.predicted_taken:
                 next_fetch = branch.predicted_target
-                self.next_pc = next_fetch
                 break
             pc += INSTRUCTION_BYTES
-        else:
-            next_fetch = pc
-            self.next_pc = pc
-        if not uops:
+            if not room:
+                next_fetch = pc
+                break
+        self._seq = seq
+        self.next_pc = next_fetch
+        if seq == first_seq:
             return None
-        if next_fetch is None and self.next_pc is not None:
-            next_fetch = self.next_pc
-        return FetchBlock(start_pc, uops, next_fetch, branches)
+        return FetchBlock(start_pc, first_seq, seq - first_seq, next_fetch, branches)
 
     def _predict_branch(self, instr: Instruction, seq: int) -> BranchInfo:
         cls = instr.uop_class
+        pc = instr.pc
         history = self.history
-        fallthrough = instr.fallthrough_pc
 
         # Direct jumps and calls cannot mispredict, so they are never a
-        # flush target and need no recovery snapshots.
-        if cls is UopClass.BR_JUMP:
-            history.push_target(instr.pc, instr.target)
+        # flush target and need no recovery state.
+        if cls is _BR_JUMP:
+            history.push_target(pc, instr.target)
             return BranchInfo(
-                seq,
-                instr.pc,
-                cls,
-                True,
-                instr.target,
-                fallthrough,
-                can_mispredict=False,
+                seq, pc, cls, True, instr.target, instr.fallthrough_pc
             )
-        if cls is UopClass.BR_CALL:
-            self.ras.push(fallthrough)
-            history.push_target(instr.pc, instr.target)
+        if cls is _BR_CALL:
+            self.ras.push(instr.fallthrough_pc)
+            history.push_target(pc, instr.target)
             return BranchInfo(
-                seq,
-                instr.pc,
-                cls,
-                True,
-                instr.target,
-                fallthrough,
-                can_mispredict=False,
+                seq, pc, cls, True, instr.target, instr.fallthrough_pc
             )
 
-        snapshot = history.snapshot()
-        ras_snap = self.ras.snapshot()
-        loop_snap = self.cond.snapshot_spec_state()
+        ghr = history.ghr
+        path = history.path
+        folds = history.folds
+        ras_top = self.ras.top
+        loop_counts = self.cond.snapshot_spec_state()
+        fallthrough = instr.fallthrough_pc
 
-        if cls is UopClass.BR_RET:
+        if cls is _BR_RET:
             target = self.ras.pop()
             predicted = target if target is not None else fallthrough
-            self.history.push_target(instr.pc, predicted)
+            history.push_target(pc, predicted)
             return BranchInfo(
-                seq,
-                instr.pc,
-                cls,
-                True,
-                predicted,
-                fallthrough,
-                can_mispredict=True,
-                history_snapshot=snapshot,
-                ras_snapshot=ras_snap,
-                loop_snapshot=loop_snap,
+                seq, pc, cls, True, predicted, fallthrough, True, None, None,
+                False, ghr, path, folds, ras_top, loop_counts,
             )
-        if cls is UopClass.BR_IND:
-            ipred = self.indirect.predict(instr.pc)
-            btb_target = self.btb.lookup(instr.pc)
+        if cls is _BR_IND:
+            ipred = self.indirect.predict(pc)
+            btb_target = self.btb.lookup(pc)
             target = ipred.target if ipred.target is not None else btb_target
             predicted = target if target is not None else fallthrough
             if instr.dst is not None:  # callr pushes the return address
                 self.ras.push(fallthrough)
-            self.history.push_target(instr.pc, predicted)
+            history.push_target(pc, predicted)
             return BranchInfo(
-                seq,
-                instr.pc,
-                cls,
-                True,
-                predicted,
-                fallthrough,
-                can_mispredict=True,
-                ittage_pred=ipred,
-                history_snapshot=snapshot,
-                ras_snapshot=ras_snap,
-                loop_snapshot=loop_snap,
-                btb_hit=btb_target is not None,
+                seq, pc, cls, True, predicted, fallthrough, True, None, ipred,
+                False, ghr, path, folds, ras_top, loop_counts,
             )
         # Conditional branch.
-        assert cls is UopClass.BR_COND and instr.target is not None
-        is_backward = instr.target < instr.pc
-        tpred = self.cond.predict(instr.pc, is_backward)
-        taken = self.cond.predicted_taken(tpred)
+        target = instr.target
+        cond = self.cond
+        tpred = cond.predict(pc, target < pc)
+        taken = cond.predicted_taken(tpred)
         override_used = False
         if self.direction_override is not None:
-            override = self.direction_override(instr.pc)
+            override = self.direction_override(pc)
             if override is not None:
                 taken = override
                 override_used = True
-        btb_hit = self.btb.lookup(instr.pc) is not None
-        if taken and not btb_hit:
+        if self.btb.lookup(pc) is None:
             # The frontend cannot redirect without a BTB target; the
             # prediction degrades to fallthrough until the BTB trains.
             taken = False
-        self.history.push_conditional(taken)
+        history.push_conditional(taken)
         return BranchInfo(
-            seq,
-            instr.pc,
-            cls,
-            taken,
-            instr.target,
-            fallthrough,
-            can_mispredict=True,
-            tage_pred=tpred,
-            history_snapshot=snapshot,
-            ras_snapshot=ras_snap,
-            loop_snapshot=loop_snap,
-            btb_hit=btb_hit,
-            is_backward=is_backward,
-            override_used=override_used,
+            seq, pc, cls, taken, target, fallthrough, True, tpred, None,
+            override_used, ghr, path, folds, ras_top, loop_counts,
         )
 
     # ------------------------------------------------------------------
@@ -334,9 +390,12 @@ class DecoupledFrontend:
         FTQs, and resumes prediction at the correct next PC.
         """
         self._truncate_ftqs(branch.seq)
-        self.history.restore(branch.history_snapshot)
-        self.ras.restore(branch.ras_snapshot)
-        self.cond.restore_spec_state(branch.loop_snapshot)
+        history = self.history
+        history.ghr = branch.ghr
+        history.path = branch.path
+        history.folds = branch.folds
+        self.ras.top = branch.ras_top
+        self.cond.restore_spec_state(branch.loop_counts)
         self._apply_outcome(branch, actual_taken, actual_target)
         self.next_pc = actual_target if actual_taken else branch.fallthrough
         if self.obs is not None:
@@ -350,14 +409,14 @@ class DecoupledFrontend:
 
     def _apply_outcome(self, branch: BranchInfo, taken: bool, target: int) -> None:
         cls = branch.uop_class
-        if cls is UopClass.BR_COND:
+        if cls is _BR_COND:
             self.history.push_conditional(taken)
             return
-        if cls is UopClass.BR_CALL:
+        if cls is _BR_CALL:
             self.ras.push(branch.fallthrough)
-        elif cls is UopClass.BR_RET:
+        elif cls is _BR_RET:
             self.ras.pop()
-        elif cls is UopClass.BR_IND:
+        elif cls is _BR_IND:
             instr = self.program.instruction_at(branch.pc)
             if instr is not None and instr.dst is not None:
                 self.ras.push(branch.fallthrough)
@@ -367,7 +426,7 @@ class DecoupledFrontend:
         for queue in (self.ftq, self.shadow_ftq):
             while queue and queue[-1].first_seq > seq:
                 queue.pop()
-            if queue and queue[-1].last_seq > seq:
+            if queue:
                 queue[-1].truncate_after(seq)
 
     # ------------------------------------------------------------------
@@ -376,14 +435,14 @@ class DecoupledFrontend:
     ) -> None:
         """Retirement-time training of all predictor components."""
         cls = branch.uop_class
-        if cls is UopClass.BR_COND and branch.tage_pred is not None:
+        if cls is _BR_COND and branch.tage_pred is not None:
             self.cond.train(branch.pc, actual_taken, branch.tage_pred)
             if actual_taken:
                 self.btb.install(branch.pc, actual_target)
-        elif cls is UopClass.BR_IND:
+        elif cls is _BR_IND:
             if branch.ittage_pred is not None:
                 self.indirect.train(branch.pc, actual_target, branch.ittage_pred)
             self.btb.install(branch.pc, actual_target)
-        elif cls in (UopClass.BR_JUMP, UopClass.BR_CALL):
+        elif cls is _BR_JUMP or cls is _BR_CALL:
             self.btb.install(branch.pc, actual_target)
         # Returns train only the RAS, which is updated speculatively.

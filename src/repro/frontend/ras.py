@@ -29,46 +29,48 @@ class ReturnAddressStack:
 
     def __init__(self, max_depth: int = 32):
         self.max_depth = max_depth
-        self._top: _Node | None = None
+        #: The top node.  Nodes are immutable, so this reference is a
+        #: complete snapshot of the stack.
+        self.top: _Node | None = None
         self.pushes = 0
         self.pops = 0
         self.underflows = 0
 
     def push(self, return_address: int) -> None:
-        depth = (self._top.depth + 1) if self._top else 1
-        self._top = _Node(return_address, self._top, depth)
+        depth = (self.top.depth + 1) if self.top else 1
+        self.top = _Node(return_address, self.top, depth)
         self.pushes += 1
         if depth > self.max_depth:
             # Drop the bottom entry: rebuild without the oldest node.
             nodes = []
-            node = self._top
+            node = self.top
             while node is not None:
                 nodes.append(node.address)
                 node = node.below
             rebuilt: _Node | None = None
             for i, addr in enumerate(reversed(nodes[:-1]), start=1):
                 rebuilt = _Node(addr, rebuilt, i)
-            self._top = rebuilt
+            self.top = rebuilt
 
     def pop(self) -> int | None:
         """Pop the predicted return address (None on underflow)."""
         self.pops += 1
-        if self._top is None:
+        if self.top is None:
             self.underflows += 1
             return None
-        address = self._top.address
-        self._top = self._top.below
+        address = self.top.address
+        self.top = self.top.below
         return address
 
     def peek(self) -> int | None:
-        return self._top.address if self._top else None
+        return self.top.address if self.top else None
 
     @property
     def depth(self) -> int:
-        return self._top.depth if self._top else 0
+        return self.top.depth if self.top else 0
 
     def snapshot(self) -> "_Node | None":
-        return self._top
+        return self.top
 
     def restore(self, snap: "_Node | None") -> None:
-        self._top = snap
+        self.top = snap

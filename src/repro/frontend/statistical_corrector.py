@@ -6,6 +6,11 @@ global-history-indexed tables, and flips TAGE's prediction only when
 TAGE's provider is weak and the corrector's sum is confident.  This
 reproduces the role the SC plays in the paper's 64KB TAGE-SC-L without
 the full GEHL machinery.
+
+Only a weak TAGE prediction can be flipped, so the corrector sums its
+tables only then, and it keeps nothing per prediction: training at
+retirement recomputes the same indices from the packed history folds
+the caller saved at predict time (few predictions are ever trained).
 """
 
 from __future__ import annotations
@@ -52,39 +57,34 @@ class StatisticalCorrector:
         self._hist_mask = (1 << cfg.history_bits) - 1
         self.flips = 0
 
-    def _indices(self, pc: int) -> tuple[int, tuple[int, ...]]:
+    def _indices(self, pc: int, folds: int) -> tuple[int, list[int]]:
         pc_bits = pc >> 2
-        folds = self.history.folds
         mask = self._hist_mask
-        hist_indices = tuple(
-            [(pc_bits ^ (folds >> shift) ^ key) & mask for shift, key in self._lanes]
-        )
+        hist_indices = [
+            (pc_bits ^ (folds >> shift) ^ key) & mask for shift, key in self._lanes
+        ]
         return pc_bits & self._bias_mask, hist_indices
 
-    def correct(
-        self, pc: int, tage_taken: bool, tage_weak: bool
-    ) -> tuple[bool, tuple]:
-        """Possibly flip TAGE's weak prediction.
-
-        Returns ``(taken, meta)`` where ``meta`` is opaque predict-time
-        index state to hand back to :meth:`train` at retirement.
-        """
-        bias_idx, hist_indices = self._indices(pc)
+    def correct(self, pc: int, tage_taken: bool, tage_weak: bool) -> bool:
+        """Possibly flip TAGE's weak prediction; returns the direction."""
+        if not tage_weak:
+            return tage_taken
+        bias_idx, hist_indices = self._indices(pc, self.history.folds)
         total = self._bias[bias_idx]
         for table, idx in zip(self._tables, hist_indices):
             total += table[idx]
-        meta = (bias_idx, hist_indices)
-        sc_taken = total >= 0
-        if tage_weak and abs(total) >= self.config.flip_threshold:
+        if abs(total) >= self.config.flip_threshold:
+            sc_taken = total >= 0
             if sc_taken != tage_taken:
                 self.flips += 1
-            return sc_taken, meta
-        return tage_taken, meta
+            return sc_taken
+        return tage_taken
 
-    def train(self, meta: tuple, taken: bool) -> None:
-        """Retirement-time counter update using predict-time indices."""
+    def train(self, pc: int, folds: int, taken: bool) -> None:
+        """Retirement-time counter update at the predict-time indices:
+        ``folds`` is the packed history word the prediction saw."""
         delta = 1 if taken else -1
-        bias_idx, hist_indices = meta
+        bias_idx, hist_indices = self._indices(pc, folds)
         self._bias[bias_idx] = _clamp(self._bias[bias_idx] + delta, self._min, self._max)
         for table, idx in zip(self._tables, hist_indices):
             table[idx] = _clamp(table[idx] + delta, self._min, self._max)

@@ -73,18 +73,19 @@ class TagePrediction:
     provider_index: int = 0
     provider_tag: int = 0
     alt_taken: bool = False
-    alt_provider: int = -1
     provider_weak: bool = True
     indices: tuple[int, ...] = ()
     tags: tuple[int, ...] = ()
     base_index: int = 0
-    used_alt: bool = False
     # Filled in by the TAGE-SC-L wrapper (dedicated slots: the extra
     # dict was a measurable allocation cost per prediction).
     final_taken: bool | None = None
     loop_used: bool = False
     is_backward: bool = False
-    sc_meta: tuple | None = None   # opaque StatisticalCorrector metadata
+    # The packed history folds at predict time when the statistical
+    # corrector was consulted (None when it was not): the SC
+    # recomputes its indices from them at retirement.
+    sc_folds: int | None = None
     # Scratch space for the alternative (ablation) predictors; None by
     # default so the common TAGE-SC-L path allocates no dict.
     extra: dict | None = None
@@ -244,34 +245,30 @@ class Tage:
 
         if provider < 0:
             return TagePrediction(
-                taken=base_taken,
-                alt_taken=base_taken,
-                indices=indices,
-                tags=tags,
-                base_index=base_index,
+                base_taken, -1, 0, 0, base_taken, True, indices, tags, base_index
             )
 
-        entry = self.tables[provider][indices[provider]]
-        provider_taken = entry.ctr >= 0
-        weak = entry.ctr in (-1, 0)
+        provider_index = indices[provider]
+        ctr = tables[provider][provider_index].ctr
+        weak = ctr == -1 or ctr == 0
         if alt >= 0:
-            alt_taken = self.tables[alt][indices[alt]].ctr >= 0
+            alt_taken = tables[alt][indices[alt]].ctr >= 0
         else:
             alt_taken = base_taken
-        use_alt = weak and self.use_alt_on_na >= self._use_alt_mid
-        taken = alt_taken if use_alt else provider_taken
+        if weak and self.use_alt_on_na >= self._use_alt_mid:
+            taken = alt_taken
+        else:
+            taken = ctr >= 0
         return TagePrediction(
-            taken=taken,
-            provider=provider,
-            provider_index=indices[provider],
-            provider_tag=tags[provider],
-            alt_taken=alt_taken,
-            alt_provider=alt,
-            provider_weak=weak,
-            indices=indices,
-            tags=tags,
-            base_index=base_index,
-            used_alt=use_alt,
+            taken,
+            provider,
+            provider_index,
+            tags[provider],
+            alt_taken,
+            weak,
+            indices,
+            tags,
+            base_index,
         )
 
     # ------------------------------------------------------------------

@@ -59,10 +59,10 @@ class TageScl:
                 final_taken = loop_pred
                 loop_used = True
         if not loop_used and self.config.enable_sc:
-            final_taken, sc_meta = self.sc.correct(
+            final_taken = self.sc.correct(
                 pc, pred.taken, pred.provider_weak or pred.provider < 0
             )
-            pred.sc_meta = sc_meta
+            pred.sc_folds = self.history.folds
         pred.final_taken = final_taken
         pred.loop_used = loop_used
         pred.is_backward = is_backward
@@ -79,8 +79,8 @@ class TageScl:
         if self.predicted_taken(pred) != taken:
             self.mispredicts_trained += 1
         self.tage.train(pc, taken, pred)
-        if self.config.enable_sc and pred.sc_meta is not None:
-            self.sc.train(pred.sc_meta, taken)
+        if self.config.enable_sc and pred.sc_folds is not None:
+            self.sc.train(pc, pred.sc_folds, taken)
         if self.config.enable_loop and pred.is_backward:
             self.loop.train(pc, taken)
 

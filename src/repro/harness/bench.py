@@ -396,7 +396,18 @@ def load_report(path: str) -> dict:
 
 
 def write_report(report: dict, path: str) -> None:
-    """Write a benchmark report as stable, diff-friendly JSON."""
+    """Write a benchmark report as stable, diff-friendly JSON.
+
+    The ``trajectory`` of a report already at ``path`` (the interleaved
+    before/after runs each speed change records) carries over.
+    """
+    try:
+        with open(path) as fh:
+            trajectory = json.load(fh).get("trajectory")
+    except (OSError, ValueError, AttributeError):
+        trajectory = None
+    if trajectory is not None and "trajectory" not in report:
+        report = {**report, "trajectory": trajectory}
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -6,13 +6,19 @@ are derived once at construction: a *leader* is the entry PC, any
 control-flow target, or the instruction after any control-flow
 instruction.  Basic-block start PCs tag the TEA Block Cache entries
 (paper §III-A) and bound its per-block bit-masks.
+
+Two lookups serve the decoupled frontend, which handles a fetch block
+as a run of sequential instructions rather than one uop at a time:
+:attr:`Program.plain_runs` lets the predictor step over a straight-line
+stretch at once, and :meth:`Program.basic_block_spans` gives the TEA
+thread the basic blocks a run passes through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .instructions import INSTRUCTION_BYTES, Instruction
+from .instructions import INSTRUCTION_BYTES, Instruction, UopClass
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,18 @@ class Program:
         for block in self._blocks.values():
             for pc in block.pcs():
                 self._block_start_by_pc[pc] = block.start_pc
+        #: PC -> how many instructions from that PC on are neither a
+        #: branch nor HALT (0 at a branch or HALT); PCs outside the
+        #: image are absent.
+        self.plain_runs: dict[int, int] = {}
+        run = 0
+        for ins in reversed(instructions):
+            if ins.is_branch or ins.uop_class is UopClass.HALT:
+                run = 0
+            else:
+                run += 1
+            self.plain_runs[ins.pc] = run
+        self._spans: dict[tuple[int, int], tuple[tuple[int, int, int, int], ...]] = {}
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -77,6 +95,46 @@ class Program:
     def block_containing(self, pc: int) -> BasicBlock | None:
         start = self._block_start_by_pc.get(pc)
         return self._blocks.get(start) if start is not None else None
+
+    def basic_block_spans(
+        self, start_pc: int, count: int
+    ) -> tuple[tuple[int, int, int, int], ...]:
+        """The basic blocks that ``count`` instructions from ``start_pc``
+        pass through, in order, as ``(bb_start, first, stop, bit)``.
+
+        Instructions ``first`` to ``stop - 1`` of the run lie in the
+        block at ``bb_start``, and instruction ``first`` is that
+        block's instruction ``bit`` (its Block Cache mask bit).  PCs
+        outside every block are left out.  Memoized per run.
+        """
+        key = (start_pc, count)
+        spans = self._spans.get(key)
+        if spans is None:
+            spans = self._spans[key] = self._compute_spans(start_pc, count)
+        return spans
+
+    def _compute_spans(
+        self, start_pc: int, count: int
+    ) -> tuple[tuple[int, int, int, int], ...]:
+        spans = []
+        stop_pc = start_pc + count * INSTRUCTION_BYTES
+        pc = start_pc
+        while pc < stop_pc:
+            block = self.block_containing(pc)
+            if block is None:
+                pc += INSTRUCTION_BYTES
+                continue
+            end = min(block.end_pc + INSTRUCTION_BYTES, stop_pc)
+            spans.append(
+                (
+                    block.start_pc,
+                    (pc - start_pc) // INSTRUCTION_BYTES,
+                    (end - start_pc) // INSTRUCTION_BYTES,
+                    (pc - block.start_pc) // INSTRUCTION_BYTES,
+                )
+            )
+            pc = end
+        return tuple(spans)
 
     def label_pc(self, label: str) -> int:
         return self.labels[label]

@@ -66,9 +66,8 @@ class RunaheadController:
         if info.uop_class is UopClass.BR_COND:
             self._inflight[info.pc] = self._inflight.get(info.pc, 0) + 1
 
-    def on_branches_squashed(self, entries) -> None:
-        for entry in entries:
-            info = entry.branch
+    def on_branches_squashed(self, branches) -> None:
+        for info in branches:
             if info.uop_class is UopClass.BR_COND:
                 count = self._inflight.get(info.pc, 0)
                 if count > 0:

@@ -243,39 +243,24 @@ class TeaController:
         self._discard_stale_blocks()
         if self.killed:
             return  # kill-switch: keep draining the shadow FTQ, never restart
+        spans_of = self.p.program.basic_block_spans
+        peek = self.block_cache.peek
         scanned = 0
         while shadow and scanned < 8:
             block = shadow[0]
-            if not block.uops:
+            if not block.count:
                 shadow.popleft()
                 continue
             if block.first_seq <= self.p.last_renamed_seq:
                 shadow.popleft()
                 continue
-            if self._block_has_chain_uops(block):
-                self._initiate(block.first_seq)
-                self._fetch_active()
-                return
+            for span in spans_of(block.start_pc, block.count):
+                if peek(span[0]):
+                    self._initiate(block.first_seq)
+                    self._fetch_active()
+                    return
             shadow.popleft()
             scanned += 1
-
-    def _block_has_chain_uops(self, block) -> bool:
-        for bb_start in self._block_bb_starts(block):
-            mask = self.block_cache.peek(bb_start)
-            if mask:
-                return True
-        return False
-
-    def _block_bb_starts(self, block) -> list[int]:
-        starts = []
-        last = None
-        by_pc = self.p.program._block_start_by_pc
-        for fuop in block.uops:
-            start = by_pc.get(fuop.instr.pc)
-            if start is not None and start != last:
-                starts.append(start)
-                last = start
-        return starts
 
     def _initiate(self, start_seq: int) -> None:
         """Start the TEA thread; the RAT copy waits for rename sync.
@@ -316,7 +301,8 @@ class TeaController:
         block = shadow.popleft()
         # Per-basic-block Block Cache lookups; a miss terminates.
         obs = self.p.obs
-        for bb_start in self._block_bb_starts(block):
+        for span in self.p.program.basic_block_spans(block.start_pc, block.count):
+            bb_start = span[0]
             mask = self.block_cache.lookup(bb_start)
             if mask is None:
                 if obs is not None:
@@ -335,10 +321,18 @@ class TeaController:
         self._fetch_from_block(block, budget)
 
     def _fetch_from_block(self, block, budget: int) -> int:
+        """Fetch the block's chain uops from ``_pending_index`` on.
+
+        Walks only the set bits of each basic block's Block Cache mask
+        that fall inside the run.  Stops once ``budget`` chain uops are
+        fetched, leaving ``_pending_index`` just past the last one;
+        returns the budget left.
+        """
         p = self.p
-        by_pc = p.program._block_start_by_pc
-        uops = block.uops
-        n = len(uops)
+        program = p.program
+        instructions = program.instructions
+        base = (block.start_pc - program.entry_pc) // INSTRUCTION_BYTES
+        first_seq = block.first_seq
         index = self._pending_index
         fetched = 0
         cycle = p.cycle
@@ -346,37 +340,50 @@ class TeaController:
         peek = self.block_cache.peek
         pipe_append = self.rename_pipe.append
         chain_seqs = self.chain_seqs
-        # Consecutive uops usually share a basic block; memoise the
-        # Block Cache mask per bb within this call (it cannot change
-        # mid-loop).
-        masks: dict[int, int] = {}
-        while index < n and budget > 0:
-            fuop = uops[index]
-            index += 1
-            pc = fuop.instr.pc
-            bb_start = by_pc.get(pc)
-            if bb_start is None:
+        for bb_start, first, stop, bit in program.basic_block_spans(
+            block.start_pc, block.count
+        ):
+            if stop <= index:
                 continue
-            mask = masks.get(bb_start)
-            if mask is None:
-                mask = peek(bb_start) or 0
-                masks[bb_start] = mask
-            offset = (pc - bb_start) >> 2
-            if (mask >> offset) & 1:
-                dyn = DynUop(fuop.seq, fuop.instr, fuop.branch, is_tea=True)
+            mask = peek(bb_start)
+            if not mask:
+                continue
+            if first < index:
+                bit += index - first
+                first = index
+            bits = (mask >> bit) & ((1 << (stop - first)) - 1)
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                k = first + low.bit_length() - 1
+                seq = first_seq + k
+                instr = instructions[base + k]
+                dyn = DynUop(
+                    seq,
+                    instr,
+                    block.branch_at(seq) if instr.is_branch else None,
+                    True,
+                )
                 dyn.fetch_cycle = cycle
                 dyn.rename_ready_cycle = ready
                 dyn.in_chain = True
                 pipe_append(dyn)
-                chain_seqs[fuop.seq] = True
-                budget -= 1
+                chain_seqs[seq] = True
                 fetched += 1
+                budget -= 1
+                if not budget:
+                    index = k + 1
+                    break
+            if not budget:
+                break
+        else:
+            index = block.count
         self._pending_index = index
         if fetched:
             p.stats.tea_fetched_uops += fetched
             if p.obs is not None:
-                p.obs.emit("shadow_fetch", seq=block.first_seq, uops=fetched)
-        if index >= n:
+                p.obs.emit("shadow_fetch", seq=first_seq, uops=fetched)
+        if index >= block.count:
             self._pending_block = None
             self._pending_index = 0
         return budget
@@ -500,9 +507,6 @@ class TeaController:
     # ==================================================================
     # Main-thread rename hook: bit-mask tagging + RAT poisoning
     # ==================================================================
-    def is_chain_seq(self, seq: int) -> bool:
-        return seq in self.chain_seqs
-
     def on_main_rename(self, uop: DynUop) -> None:
         self.chain_seqs.pop(uop.seq, None)
         if not (self.active or self.draining):
@@ -671,8 +675,8 @@ class TeaController:
             return
         stats.tea_resolved_branches += 1
         obs = self.p.obs
-        entry = self.p.ifbq.get(uop.seq)
-        if entry is None or entry.main_resolved:
+        info = self.p.ifbq.get(uop.seq)
+        if info is None or info.main_resolved:
             # Late precomputation: the main branch got there first.
             if obs is not None:
                 obs.emit("tea_resolve", pc=uop.instr.pc, seq=uop.seq, late=True)
@@ -680,16 +684,15 @@ class TeaController:
             if self.late_count > self.config.max_late_resolutions:
                 self._terminate(drain=True, reason="too_late")
             return
-        entry.tea_resolved = True
-        entry.tea_taken = uop.br_taken
-        entry.tea_target = uop.br_target
-        entry.tea_resolve_cycle = self.p.cycle
+        info.tea_resolved = True
+        info.tea_taken = uop.br_taken
+        info.tea_target = uop.br_target
+        info.tea_resolve_cycle = self.p.cycle
         if not self.config.early_resolution:
             if obs is not None:
                 obs.emit("tea_resolve", pc=uop.instr.pc, seq=uop.seq, late=False)
             return  # prefetch-only mode (§V-B)
         if self.poison_block_seq is not None and uop.seq > self.poison_block_seq:
-            entry.tea_blocked = True
             stats.tea_blocked_flushes += 1
             if obs is not None:
                 obs.emit(
@@ -700,7 +703,6 @@ class TeaController:
                     blocked=True,
                 )
             return
-        info = entry.branch
         disagrees = uop.br_taken != info.predicted_taken or (
             uop.br_taken and uop.br_target != info.predicted_target
         )
@@ -713,7 +715,7 @@ class TeaController:
                 disagrees=disagrees,
             )
         if disagrees:
-            entry.tea_flush_issued = True
+            info.tea_flush_issued = True
             stats.early_flushes += 1
             if obs is not None:
                 penalty = (

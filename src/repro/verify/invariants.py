@@ -109,6 +109,9 @@ class InvariantChecker:
         self.p = pipeline
         self.period = period
         self.checks_run = 0
+        # The ROB's uop ids, shared by the families that test ROB
+        # membership while an audit runs (None between audits).
+        self._rob_ids: set[int] | None = None
 
     # ------------------------------------------------------------------
     def maybe_audit(self) -> None:
@@ -120,8 +123,19 @@ class InvariantChecker:
         """Run every invariant family; raise on the first violation."""
         self.checks_run += 1
         self.p.stats.invariant_checks += 1
-        for family in self.FAMILIES:
-            getattr(self, "_check_" + family)()
+        self._rob_ids = {id(uop) for uop in self.p.rob}
+        try:
+            for family in self.FAMILIES:
+                getattr(self, "_check_" + family)()
+        finally:
+            self._rob_ids = None
+
+    def _rob_id_set(self) -> set[int]:
+        """Ids of the ROB's uops: built once per audit, or afresh when a
+        family runs on its own."""
+        if self._rob_ids is None:
+            return {id(uop) for uop in self.p.rob}
+        return self._rob_ids
 
     def _fail(self, invariant: str, detail: str) -> None:
         diagnostics = progress_diagnostics(self.p)
@@ -189,7 +203,7 @@ class InvariantChecker:
     def _check_lsq_consistency(self) -> None:
         p = self.p
         name = "lsq_consistency"
-        rob_ids = {id(uop) for uop in p.rob}
+        rob_ids = self._rob_id_set()
         for label, queue, want in (
             ("load", p.lq, "is_load"),
             ("store", p.sq, "is_store"),
@@ -256,7 +270,7 @@ class InvariantChecker:
         # rename-stalls).
         prev_seq = -1
         for block in p.frontend.shadow_ftq:
-            if not block.uops:
+            if not block.count:
                 continue
             if block.first_seq <= prev_seq:
                 self._fail(
@@ -450,7 +464,7 @@ class InvariantChecker:
                     f"decode-pipe uop seq={uop.seq} in state {uop.state.name}",
                 )
         sched = p.scheduler
-        rob_ids = {id(uop) for uop in p.rob}
+        rob_ids = self._rob_id_set()
         for pool in (
             sched._ready_main,
             sched._blocked_main,

@@ -44,6 +44,15 @@ class TestBenchHelpers:
         write_report({"bench": "pipeline", "schema": 1}, path)
         assert load_report(path)["bench"] == "pipeline"
 
+    def test_rewrite_keeps_the_trajectory(self, tmp_path):
+        path = str(tmp_path / "report.json")
+        trajectory = [{"change": "earlier", "geomeans": [1.0, 2.0]}]
+        write_report({"bench": "pipeline", "trajectory": trajectory}, path)
+        write_report({"bench": "pipeline", "schema": 1}, path)
+        report = load_report(path)
+        assert report["trajectory"] == trajectory
+        assert report["schema"] == 1
+
     def test_load_rejects_foreign_report(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"bench": "other"}))

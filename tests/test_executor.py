@@ -506,11 +506,17 @@ class TestOutcomeRoundtrip:
 
 
 def marker_task(record):
-    """Completes normally but drops a marker file the parent's ``stop``
-    hook can watch — cross-process drain trigger."""
-    marker = os.path.join(os.environ["FLAKY_DIR"], "drain_marker")
-    with open(marker, "w") as fh:
-        fh.write(record["workload"])
+    """Completes normally; the second cell also drops a marker file the
+    parent's ``stop`` hook can watch — cross-process drain trigger.
+
+    Under ``jobs=1`` the first cell is reaped and journaled before the
+    second launches, so a drain the marker trips always finds at least
+    one settled cell, however slowly the second cell's result reaches
+    its pipe."""
+    if record["workload"] == SPECS[1].workload:
+        marker = os.path.join(os.environ["FLAKY_DIR"], "drain_marker")
+        with open(marker, "w") as fh:
+            fh.write(record["workload"])
     return ok_task(record)
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro import assemble
 from repro.frontend import DecoupledFrontend
 from repro.isa import INSTRUCTION_BYTES
+from tests.fetch_reference import block_uops
 
 
 def _random_branchy_source(rng: random.Random) -> str:
@@ -38,34 +39,36 @@ def _random_branchy_source(rng: random.Random) -> str:
 @settings(max_examples=30, deadline=None)
 def test_block_stream_invariants(seed):
     rng = random.Random(seed)
-    frontend = DecoupledFrontend(assemble(_random_branchy_source(rng)))
+    program = assemble(_random_branchy_source(rng))
+    frontend = DecoupledFrontend(program)
     last_seq = -1
     for _ in range(120):
         block = frontend.tick()
         if block is None:
             break
-        assert block.uops, "empty block emitted"
+        uops = block_uops(program, block)
+        assert uops, "empty block emitted"
         # 1. Sequence numbers are strictly increasing, gap-free inside
         #    a block (gaps may only appear across flushes).
-        seqs = [u.seq for u in block.uops]
+        seqs = [u.seq for u in uops]
         assert seqs[0] > last_seq
         assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
         last_seq = seqs[-1]
         # 2. PCs are sequential within the block.
-        pcs = [u.instr.pc for u in block.uops]
+        pcs = [u.instr.pc for u in uops]
         assert pcs == [
             block.start_pc + i * INSTRUCTION_BYTES for i in range(len(pcs))
         ]
         # 3. Only the final uop may be predicted-taken.
-        for uop in block.uops[:-1]:
+        for uop in uops[:-1]:
             if uop.branch is not None:
                 assert not uop.branch.predicted_taken
         # 4. next_fetch_pc matches the last uop's prediction.
-        tail = block.uops[-1]
+        tail = uops[-1]
         if tail.branch is not None and block.next_fetch_pc is not None:
             assert block.next_fetch_pc == tail.branch.predicted_next_pc
         # 5. Block length respects the 32-uop (128B) cap.
-        assert len(block.uops) <= frontend.config.max_block_uops
+        assert len(uops) <= frontend.config.max_block_uops
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -84,7 +87,7 @@ def test_flush_restores_prediction_determinism(seed):
         block = frontend.tick()
         if block is None:
             break
-        for uop in block.uops:
+        for uop in block_uops(program, block):
             if uop.branch is not None and uop.branch.can_mispredict:
                 branch = uop.branch
                 break
@@ -102,4 +105,4 @@ def test_flush_restores_prediction_determinism(seed):
     assert frontend.next_pc == branch.predicted_next_pc
     # The FTQ holds nothing younger than the branch.
     for block in frontend.ftq:
-        assert all(u.seq <= branch.seq for u in block.uops)
+        assert all(u.seq <= branch.seq for u in block_uops(program, block))

@@ -13,7 +13,7 @@ import pytest
 from repro import Pipeline, SimConfig, assemble
 from repro.core.config import ConfigError
 from repro.core.dynamic_uop import UopState
-from repro.frontend.decoupled import FetchBlock, FetchUop
+from repro.frontend.decoupled import FetchBlock
 from repro.harness import make_config, run_workload
 from repro.tea import TeaConfig
 from repro.verify import InvariantChecker, InvariantViolation
@@ -133,9 +133,8 @@ class TestHandBrokenStates:
 
     def test_shadow_ftq_repeated_seq_detected(self):
         pipeline = stepped_pipeline()
-        instr = pipeline.program.instructions[0]
-        older = FetchBlock(0, [FetchUop(7, instr), FetchUop(8, instr)], None)
-        younger = FetchBlock(0, [FetchUop(8, instr)], None)
+        older = FetchBlock(0, 7, 2, None)    # seqs 7 and 8
+        younger = FetchBlock(8, 8, 1, None)  # seq 8 again
         pipeline.frontend.shadow_ftq.clear()
         pipeline.frontend.shadow_ftq.extend((older, younger))
         with pytest.raises(InvariantViolation) as exc:

@@ -67,9 +67,9 @@ class TestStatisticalCorrector:
         sc = StatisticalCorrector(history=history)
         pc = 0x44
         for _ in range(30):
-            _, meta = sc.correct(pc, tage_taken=False, tage_weak=True)
-            sc.train(meta, True)  # branch is actually always taken
-        taken, _ = sc.correct(pc, tage_taken=False, tage_weak=True)
+            sc.correct(pc, tage_taken=False, tage_weak=True)
+            sc.train(pc, history.folds, True)  # branch is actually always taken
+        taken = sc.correct(pc, tage_taken=False, tage_weak=True)
         assert taken is True
         assert sc.flips > 0
 
@@ -78,17 +78,17 @@ class TestStatisticalCorrector:
         sc = StatisticalCorrector(history=history)
         pc = 0x44
         for _ in range(30):
-            _, meta = sc.correct(pc, tage_taken=False, tage_weak=False)
-            sc.train(meta, True)
-        taken, _ = sc.correct(pc, tage_taken=False, tage_weak=False)
+            sc.correct(pc, tage_taken=False, tage_weak=False)
+            sc.train(pc, history.folds, True)
+        taken = sc.correct(pc, tage_taken=False, tage_weak=False)
         assert taken is False
 
     def test_counters_saturate(self):
         history = HistoryState()
         sc = StatisticalCorrector(history=history)
         for _ in range(200):
-            _, meta = sc.correct(0x44, True, True)
-            sc.train(meta, True)
+            sc.correct(0x44, True, True)
+            sc.train(0x44, history.folds, True)
         assert max(sc._bias) <= 31
 
 
@@ -172,12 +172,15 @@ class TestPackedLaneReaders:
             self._walk(history, rng, rng.randrange(1, 6))
             pc = rng.randrange(1 << 20) << 2
             pc_bits = pc >> 2
-            expected = tuple(
+            expected = [
                 (pc_bits ^ fold_history(history.ghr, hlen, cfg.history_bits) ^ i * 0x9E37)
                 & ((1 << cfg.history_bits) - 1)
                 for i, hlen in enumerate(cfg.history_lengths)
+            ]
+            assert sc._indices(pc, history.folds) == (
+                pc_bits & ((1 << cfg.bias_bits) - 1),
+                expected,
             )
-            assert sc._indices(pc) == (pc_bits & ((1 << cfg.bias_bits) - 1), expected)
 
 
 class TestBtb:
